@@ -71,6 +71,9 @@ type checker struct {
 	// metaSeen tracks each switch store's adopted version vector across
 	// sweeps (metadata rollback detection).
 	metaSeen map[string]metaVersions
+	// meta checks switch-store adoptions as they happen (nil unless the
+	// profile enables the metadata plane).
+	meta *metaWitness
 
 	hosts map[string]bool
 }
@@ -86,6 +89,19 @@ func newChecker(r *run) *checker {
 	}
 	for _, h := range r.hosts {
 		ck.hosts[h] = true
+	}
+	if r.p.Metadata {
+		ck.meta = newMetaWitness()
+		for _, c := range ck.honestControllers() {
+			if st := c.MetaStore(); st != nil {
+				ck.meta.watchController(st)
+			}
+		}
+		for _, id := range r.switches {
+			if st := r.net.Switches[id].MetaStore(); st != nil {
+				ck.meta.watchSwitch(id, st)
+			}
+		}
 	}
 	return ck
 }

@@ -423,6 +423,7 @@ type liveRun struct {
 	metaOldSet   []protocol.MetaEnvelope
 	metaForge    *pki.KeyPair
 	metaAttacker fabric.NodeID
+	metaWitness  *metaWitness
 }
 
 // report records a deduplicated convergence violation.
@@ -653,6 +654,21 @@ func RunLiveSeed(p Profile, opt LiveOptions) (res LiveResult) {
 		}
 		lr.rec.trace("canary", "metadata verification bypassed on all switch stores")
 	}
+	if p.Metadata {
+		lr.metaWitness = newMetaWitness()
+		for _, ctl := range dom.Controllers {
+			if err := lr.watchMetaController(ctl); err != nil {
+				res.Err = err.Error()
+				return res
+			}
+		}
+		for _, id := range lr.switches {
+			if err := lr.watchMetaSwitch(id, net.Switches[id]); err != nil {
+				res.Err = err.Error()
+				return res
+			}
+		}
+	}
 
 	// Install the live injector before any traffic, then lay out the
 	// wall-clock timeline: flows, crash windows, partitions, Byzantine
@@ -815,10 +831,12 @@ func (lr *liveRun) crashCtlWindow(slot int, at, dur time.Duration) {
 	}})
 	lr.events = append(lr.events, liveEvent{at: at + dur, fn: func() {
 		lr.fab.Restart(fabric.NodeID(id))
-		if _, err := lr.net.RestartController(0, slot); err != nil {
+		ctl, err := lr.net.RestartController(0, slot)
+		if err != nil {
 			lr.rec.trace("restart-error", err.Error())
 			return
 		}
+		lr.watchMetaController(ctl)
 		lr.ctlRestarted[slot] = true
 		lr.rec.count(metrics.CounterRestart, 1)
 		lr.rec.trace("restart", fmt.Sprintf("controller %s", id))
@@ -834,10 +852,12 @@ func (lr *liveRun) crashSwitchWindow(id string, at, dur time.Duration) {
 	}})
 	lr.events = append(lr.events, liveEvent{at: at + dur, fn: func() {
 		lr.fab.Restart(fabric.NodeID(id))
-		if _, err := lr.net.RestartSwitch(id); err != nil {
+		sw, err := lr.net.RestartSwitch(id)
+		if err != nil {
 			lr.rec.trace("restart-error", err.Error())
 			return
 		}
+		lr.watchMetaSwitch(id, sw)
 		lr.swRestarted[id] = true
 		lr.rec.count(metrics.CounterRestart, 1)
 		lr.rec.trace("restart", fmt.Sprintf("switch %s", id))

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"time"
 
+	"cicero/internal/controlplane"
+	"cicero/internal/dataplane"
 	"cicero/internal/fabric"
 	"cicero/internal/metarepo"
 	"cicero/internal/protocol"
@@ -163,6 +165,32 @@ func (lr *liveRun) metaAttackWave(tag string, replayOnly bool) {
 	lr.rec.trace("meta-attack", tag)
 }
 
+// watchMetaController attaches the adoption witness to a controller's
+// store (no-op unless the metadata plane is on).
+func (lr *liveRun) watchMetaController(ctl *controlplane.Controller) error {
+	if lr.metaWitness == nil {
+		return nil
+	}
+	return lr.invokeWait(fabric.NodeID(ctl.ID()), func() {
+		if st := ctl.MetaStore(); st != nil {
+			lr.metaWitness.watchController(st)
+		}
+	})
+}
+
+// watchMetaSwitch attaches the adoption witness to a switch's store
+// (no-op unless the metadata plane is on).
+func (lr *liveRun) watchMetaSwitch(id string, sw *dataplane.Switch) error {
+	if lr.metaWitness == nil {
+		return nil
+	}
+	return lr.invokeWait(fabric.NodeID(id), func() {
+		if st := sw.MetaStore(); st != nil {
+			lr.metaWitness.watchSwitch(id, st)
+		}
+	})
+}
+
 // liveMetaSnapshot is one store's version vector at a probe point.
 type liveMetaSnapshot struct {
 	root, targets, snapshot, timestamp uint64
@@ -253,6 +281,12 @@ func (lr *liveRun) finishLiveMetadata(res *LiveResult) {
 				}
 			}
 		})
+	}
+
+	// Forgeries any switch adopted during the run, even if since
+	// overwritten by a later envelope.
+	for _, f := range lr.metaWitness.drain() {
+		lr.report(InvMetaForged, f.dedupKey, f.detail, f.sw)
 	}
 
 	// Final replay against the settled system, then let it land.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
 	"cicero/internal/metarepo"
@@ -310,4 +311,89 @@ func (ck *checker) checkMetadata() {
 			}
 		}
 	}
+
+	// Forgeries adopted since the last sweep, even if since overwritten.
+	for _, f := range ck.meta.drain() {
+		ck.report(InvMetaForged, f.dedupKey, f.detail, f.sw)
+	}
+}
+
+// metaWitness checks every envelope a switch store adopts, at the moment
+// of adoption, against the envelopes the watched controllers adopted.
+// A bypassed store can adopt a forgery and overwrite it with an honest
+// envelope moments later, so sampling only the settled stores misses
+// forgeries depending on timing. Controllers adopt their own
+// publications before multicasting them, so an honest envelope is always
+// recorded before any switch can adopt it. The hooks run on the stores'
+// goroutines; findings wait in the witness until a sweep reports them.
+type metaWitness struct {
+	mu sync.Mutex
+	// signed maps "role|version" to the digests watched controllers
+	// adopted there; maxTargets is the highest such targets version.
+	signed     map[string]map[[32]byte]bool
+	maxTargets uint64
+	forged     []metaForgery
+}
+
+// metaForgery is one forged adoption, keyed like the settled-state
+// checks so a forgery caught both ways reports once.
+type metaForgery struct {
+	sw, dedupKey, detail string
+}
+
+func newMetaWitness() *metaWitness {
+	return &metaWitness{signed: make(map[string]map[[32]byte]bool)}
+}
+
+// watchController records what the controller store holds now and
+// everything it adopts from here on as honestly signed.
+func (w *metaWitness) watchController(st *metarepo.Store) {
+	for _, env := range st.CurrentSet() {
+		var doc struct {
+			Version uint64 `json:"version"`
+		}
+		if json.Unmarshal(env.Signed, &doc) == nil {
+			w.controllerAdopted(env.Role, doc.Version, env)
+		}
+	}
+	st.SetAdoptHook(w.controllerAdopted)
+}
+
+func (w *metaWitness) controllerAdopted(role string, version uint64, env protocol.MetaEnvelope) {
+	key := fmt.Sprintf("%s|%d", role, version)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.signed[key] == nil {
+		w.signed[key] = make(map[[32]byte]bool)
+	}
+	w.signed[key][sha256.Sum256(env.Signed)] = true
+	if role == protocol.MetaRoleTargets && version > w.maxTargets {
+		w.maxTargets = version
+	}
+}
+
+// watchSwitch checks every envelope the switch store adopts.
+func (w *metaWitness) watchSwitch(swID string, st *metarepo.Store) {
+	st.SetAdoptHook(func(role string, version uint64, env protocol.MetaEnvelope) {
+		key := fmt.Sprintf("%s|%d", role, version)
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		switch digests := w.signed[key]; {
+		case role == protocol.MetaRoleTargets && version > w.maxTargets:
+			w.forged = append(w.forged, metaForgery{swID, swID + "|ahead",
+				fmt.Sprintf("switch %s adopted targets v%d but no controller is past v%d", swID, version, w.maxTargets)})
+		case len(digests) > 0 && !digests[sha256.Sum256(env.Signed)]:
+			w.forged = append(w.forged, metaForgery{swID, swID + "|" + key,
+				fmt.Sprintf("switch %s adopted a %s v%d no controller signed", swID, role, version)})
+		}
+	})
+}
+
+// drain returns the forgeries found since the last call.
+func (w *metaWitness) drain() []metaForgery {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := w.forged
+	w.forged = nil
+	return out
 }

@@ -37,9 +37,8 @@ import (
 // verification is keyless hashing, so any sender can mint valid
 // (root, phase) pairs over self-built trees; without a cap each one would
 // allocate a pendingBatch that lives for the switch's lifetime. When the
-// cap is hit, the oldest UNVERIFIED entry is evicted first (an attacker
-// cannot mint verified entries — those took a quorum of root shares — so
-// junk only ever displaces junk before it displaces real state).
+// cap is hit, evictPendingBatch picks the victim (drained verified
+// entries, then unverified ones, then verified ones still releasing).
 const maxPendingBatches = 512
 
 // batchWaiter buffers one proof-checked update until both gates open:
@@ -58,7 +57,7 @@ type pendingBatch struct {
 	shares   map[uint32][]byte
 	verified bool
 	// seq is the arrival order used for eviction when the pool map is
-	// full (oldest unverified first).
+	// full (oldest first within an eviction class).
 	seq uint64
 	// waiting is keyed by updateKey so retransmissions accumulate senders
 	// instead of duplicating entries.
@@ -221,23 +220,36 @@ func (s *Switch) isController(id pki.Identity) bool {
 }
 
 // evictPendingBatch makes room for one new pool entry when the map is at
-// capacity: the oldest unverified entry goes first (any sender can mint
-// those with self-built trees), then — only if every entry is verified —
-// the oldest verified one (its later members would merely re-collect a
-// quorum, a liveness cost, never a safety one).
+// capacity. Victims go by class, oldest first within a class:
+//
+//  1. verified entries with no waiting update: their quorum already
+//     served every member that arrived, and a late member merely
+//     re-collects one (a liveness cost, never a safety one);
+//  2. unverified entries: any sender can mint those with self-built
+//     trees, so junk displaces junk, and an honest batch still collecting
+//     its quorum goes only when no drained entry is left;
+//  3. verified entries still releasing waiting updates.
 func (s *Switch) evictPendingBatch() {
 	if len(s.pendingBatches) < maxPendingBatches {
 		return
 	}
+	class := func(pb *pendingBatch) int {
+		switch {
+		case pb.verified && len(pb.waiting) == 0:
+			return 0
+		case !pb.verified:
+			return 1
+		default:
+			return 2
+		}
+	}
 	victim := ""
-	victimVerified := false
+	victimClass := 0
 	var victimSeq uint64
 	for k, pb := range s.pendingBatches {
-		better := victim == "" ||
-			(victimVerified && !pb.verified) ||
-			(victimVerified == pb.verified && pb.seq < victimSeq)
-		if better {
-			victim, victimVerified, victimSeq = k, pb.verified, pb.seq
+		c := class(pb)
+		if victim == "" || c < victimClass || (c == victimClass && pb.seq < victimSeq) {
+			victim, victimClass, victimSeq = k, c, pb.seq
 		}
 	}
 	delete(s.pendingBatches, victim)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cicero/internal/fabric"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/tcrypto/merkle"
@@ -212,6 +213,50 @@ func TestPendingBatchPoolBounded(t *testing.T) {
 			ShareIndex: 1,
 			Share:      []byte{1},
 		})
+	}
+	if got := len(bh.sw.pendingBatches); got > maxPendingBatches {
+		t.Fatalf("pending batch pool grew to %d, cap is %d", got, maxPendingBatches)
+	}
+}
+
+// TestPendingBatchPoolKeepsCollectingBatches pushes twice the pool cap of
+// honest single-update batches through one switch, two batches in flight
+// at a time: each batch's quorum completes only after the next batch has
+// opened its pool entry. Once the pool is full of drained, verified
+// batches, making room must evict those rather than the batch still
+// collecting its share quorum, so every update applies.
+func TestPendingBatchPoolKeepsCollectingBatches(t *testing.T) {
+	bh := newBatchHarness(t, ModeThreshold, false)
+	q := bh.sw.cfg.Quorum
+	const n = 2 * maxPendingBatches
+	send := func(i, ctl int) {
+		id := openflow.MsgID{Origin: "honest", Seq: uint64(i + 1)}
+		m := mod(fmt.Sprintf("h%d", i))
+		root := merkle.LeafHash(openflow.CanonicalUpdateBytes(id, 0, []openflow.FlowMod{m}))
+		bh.sw.HandleMessage(fabric.NodeID(controllerIDs[ctl]), protocol.MsgBatchUpdate{
+			UpdateID:   id,
+			Mods:       []openflow.FlowMod{m},
+			Phase:      0,
+			From:       controllerIDs[ctl],
+			BatchRoot:  root[:],
+			LeafIndex:  0,
+			LeafCount:  1,
+			ShareIndex: uint32(ctl + 1),
+			Share:      []byte{byte(ctl + 1)},
+		})
+	}
+	for i := 0; i <= n; i++ {
+		if i < n {
+			for ctl := 0; ctl < q-1; ctl++ {
+				send(i, ctl)
+			}
+		}
+		if i > 0 {
+			send(i-1, q-1)
+		}
+	}
+	if bh.sw.UpdatesApplied != n {
+		t.Fatalf("applied %d of %d honest batch updates", bh.sw.UpdatesApplied, n)
 	}
 	if got := len(bh.sw.pendingBatches); got > maxPendingBatches {
 		t.Fatalf("pending batch pool grew to %d, cap is %d", got, maxPendingBatches)

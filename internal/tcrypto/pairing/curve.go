@@ -94,13 +94,19 @@ func (p *Params) IsOnCurve(pt *Point) bool {
 	if pt.IsInfinity() {
 		return true
 	}
-	lhs := new(big.Int).Mul(pt.Y, pt.Y)
-	lhs.Mod(lhs, p.P)
-	rhs := new(big.Int).Mul(pt.X, pt.X)
-	rhs.Mul(rhs, pt.X)
-	rhs.Add(rhs, pt.X)
-	rhs.Mod(rhs, p.P)
-	return lhs.Cmp(rhs) == 0
+	a := p.toMont(pt)
+	var lhs, rhs fe
+	p.fp.mul(&lhs, &a.y, &a.y)
+	p.curveRHS(&rhs, &a.x)
+	return lhs == rhs
+}
+
+// curveRHS sets z = x³ + x.
+func (p *Params) curveRHS(z, x *fe) {
+	var t fe
+	p.fp.mul(&t, x, x)
+	p.fp.mul(&t, &t, x)
+	p.fp.add(z, &t, x)
 }
 
 // Neg returns −pt.
@@ -129,14 +135,7 @@ func (p *Params) Add(a, b *Point) *Point {
 		}
 		return p.Double(a)
 	}
-	// λ = (y2 − y1)/(x2 − x1)
-	num := new(big.Int).Sub(b.Y, a.Y)
-	den := new(big.Int).Sub(b.X, a.X)
-	den.Mod(den, p.P)
-	den.ModInverse(den, p.P)
-	lambda := num.Mul(num, den)
-	lambda.Mod(lambda, p.P)
-	return p.chord(a, b, lambda)
+	return p.chord(a, b, p.chordSlope(a, b))
 }
 
 // Double returns 2·a.
@@ -144,7 +143,23 @@ func (p *Params) Double(a *Point) *Point {
 	if a.IsInfinity() || a.Y.Sign() == 0 {
 		return Infinity()
 	}
-	// λ = (3x² + 1)/(2y) for the curve y² = x³ + x.
+	return p.chord(a, a, p.tangentSlope(a))
+}
+
+// chordSlope returns the slope (y_b − y_a)/(x_b − x_a) of the chord
+// through a and b, which must have distinct x.
+func (p *Params) chordSlope(a, b *Point) *big.Int {
+	num := new(big.Int).Sub(b.Y, a.Y)
+	den := new(big.Int).Sub(b.X, a.X)
+	den.Mod(den, p.P)
+	den.ModInverse(den, p.P)
+	lambda := num.Mul(num, den)
+	return lambda.Mod(lambda, p.P)
+}
+
+// tangentSlope returns the slope (3x² + 1)/(2y) of the tangent at a, for
+// the curve y² = x³ + x; a.Y must be non-zero.
+func (p *Params) tangentSlope(a *Point) *big.Int {
 	num := new(big.Int).Mul(a.X, a.X)
 	num.Mul(num, big.NewInt(3))
 	num.Add(num, big.NewInt(1))
@@ -152,8 +167,7 @@ func (p *Params) Double(a *Point) *Point {
 	den.Mod(den, p.P)
 	den.ModInverse(den, p.P)
 	lambda := num.Mul(num, den)
-	lambda.Mod(lambda, p.P)
-	return p.chord(a, a, lambda)
+	return lambda.Mod(lambda, p.P)
 }
 
 // chord completes point addition given the chord/tangent slope.
@@ -169,34 +183,27 @@ func (p *Params) chord(a, b *Point, lambda *big.Int) *Point {
 	return &Point{X: x3, Y: y3}
 }
 
-// ScalarMul returns k·pt using inversion-free Jacobian double-and-add
-// (see jacobian.go). The scalar is reduced modulo the group order r and
-// recoded to its balanced signed representative, so scalars that are
-// small negative residues cost as little as small positive ones.
+// ScalarMul returns k·pt using inversion-free Jacobian double-and-add on
+// the Montgomery field (see jacobian.go). The scalar is reduced modulo the
+// group order r and recoded to its balanced signed representative, so
+// scalars that are small negative residues cost as little as small
+// positive ones.
 func (p *Params) ScalarMul(pt *Point, k *big.Int) *Point {
 	kr := new(big.Int).Mod(k, p.R)
 	if kr.Sign() == 0 || pt.IsInfinity() {
 		return Infinity()
 	}
 	digits, flip := p.balancedNAF(kr)
+	a := p.toMont(pt)
 	if flip {
-		pt = p.Neg(pt)
+		a = p.negAffine(&a)
 	}
-	return p.scalarMulDigits(pt, digits)
+	return p.mulDigits(&a, digits)
 }
 
 // ScalarBaseMul returns k·G for the canonical generator.
 func (p *Params) ScalarBaseMul(k *big.Int) *Point {
 	return p.ScalarMul(p.G, k)
-}
-
-// cofactorMul multiplies by the cofactor h to force a point of E(F_p) into
-// the order-r subgroup. Unlike ScalarMul it does not reduce modulo r.
-func (p *Params) cofactorMul(pt *Point) *Point {
-	if pt.IsInfinity() {
-		return Infinity()
-	}
-	return p.scalarMulJacobian(pt, p.H)
 }
 
 // RandomScalar returns a uniformly random scalar in [1, r−1].

@@ -34,201 +34,131 @@ func (p *Params) gtBytes(g *GT) []byte {
 	return out
 }
 
-// gtMul returns x·y in F_{p^2} using Karatsuba's three-multiplication
-// form: ad + bc = (a+b)(c+d) − ac − bd. Field multiplications dominate
-// the Miller loop, so one saved mult per product is ~25% off the loop.
-func (p *Params) gtMul(x, y *GT) *GT {
-	// (a+bi)(c+di) = (ac − bd) + (ad + bc)i
-	ac := new(big.Int).Mul(x.A, y.A)
-	bd := new(big.Int).Mul(x.B, y.B)
-	xs := new(big.Int).Add(x.A, x.B)
-	ys := new(big.Int).Add(y.A, y.B)
-	cross := xs.Mul(xs, ys)
-	cross.Sub(cross, ac)
-	cross.Sub(cross, bd)
-	a := ac.Sub(ac, bd)
-	p.modP(a)
-	p.modP(cross)
-	return &GT{A: a, B: cross}
-}
-
-// gtSquare returns x² in F_{p^2}.
-func (p *Params) gtSquare(x *GT) *GT {
-	// (a+bi)^2 = (a−b)(a+b) + 2ab·i
-	sum := new(big.Int).Add(x.A, x.B)
-	diff := new(big.Int).Sub(x.A, x.B)
-	a := sum.Mul(sum, diff)
-	p.modP(a)
-	b := new(big.Int).Mul(x.A, x.B)
-	b.Lsh(b, 1)
-	p.modP(b)
-	return &GT{A: a, B: b}
-}
-
-// gtConj returns the conjugate a − b·i, which equals x^p (the Frobenius).
-func (p *Params) gtConj(x *GT) *GT {
-	b := new(big.Int).Neg(x.B)
-	b.Mod(b, p.P)
-	return &GT{A: new(big.Int).Set(x.A), B: b}
-}
-
-// gtInv returns x^(−1) in F_{p^2}.
-func (p *Params) gtInv(x *GT) *GT {
-	// 1/(a+bi) = (a − bi)/(a² + b²)
-	norm := new(big.Int).Mul(x.A, x.A)
-	bb := new(big.Int).Mul(x.B, x.B)
-	norm.Add(norm, bb)
-	p.modP(norm)
-	norm.ModInverse(norm, p.P)
-	a := new(big.Int).Mul(x.A, norm)
-	p.modP(a)
-	b := new(big.Int).Neg(x.B)
-	b.Mul(b, norm)
-	p.modP(b)
-	return &GT{A: a, B: b}
-}
-
-// gtExp returns x^e in F_{p^2} for a non-negative exponent e.
-func (p *Params) gtExp(x *GT, e *big.Int) *GT {
-	result := gtOne()
-	if e.Sign() == 0 {
-		return result
-	}
-	base := &GT{A: new(big.Int).Set(x.A), B: new(big.Int).Set(x.B)}
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		result = p.gtSquare(result)
-		if e.Bit(i) == 1 {
-			result = p.gtMul(result, base)
-		}
-	}
-	return result
-}
-
-// gtAcc is a mutable F_{p²} accumulator with preallocated scratch. The
-// pairing hot loops (PairPrepared, PairProduct, and their shared final
+// gtAcc is a mutable F_{p²} accumulator a + b·i on the Montgomery field.
+// The pairing hot loops (PairPrepared, PairProduct, and their shared final
 // exponentiation) run thousands of field operations per call; routing
-// them through one accumulator instead of the immutable GT helpers
-// removes nearly all interior allocations. Not safe for concurrent use;
-// each pairing call creates its own.
+// them through one value-typed accumulator keeps them allocation-free. A
+// gtAcc is not safe for concurrent use; each pairing call creates its own.
 type gtAcc struct {
-	p              *Params
-	a, b           *big.Int // the accumulated element a + b·i
-	t1, t2, t3, t4 *big.Int // multiplication scratch
-	l              *big.Int // line-evaluation scratch
-	q              *big.Int // Barrett quotient scratch
+	f    *field
+	a, b fe
 }
 
 func newGTAcc(p *Params) *gtAcc {
-	return &gtAcc{
-		p: p, a: big.NewInt(1), b: big.NewInt(0),
-		t1: new(big.Int), t2: new(big.Int), t3: new(big.Int), t4: new(big.Int),
-		l: new(big.Int), q: new(big.Int),
-	}
+	return &gtAcc{f: &p.fp, a: p.fp.one}
 }
 
-// reduce is modP with the accumulator's scratch quotient: no allocation.
-func (g *gtAcc) reduce(x *big.Int) {
-	p := g.p
-	if x.Sign() < 0 {
-		x.Add(x, p.twoPSquared)
-	}
-	q := g.q
-	q.Rsh(x, p.barrettLo)
-	q.Mul(q, p.barrettMu)
-	q.Rsh(q, p.barrettHi)
-	q.Mul(q, p.P)
-	x.Sub(x, q)
-	for x.Cmp(p.P) >= 0 {
-		x.Sub(x, p.P)
-	}
+// loadGT returns an accumulator holding g.
+func (p *Params) loadGT(g *GT) *gtAcc {
+	acc := &gtAcc{f: &p.fp}
+	p.fp.fromBig(&acc.a, g.A)
+	p.fp.fromBig(&acc.b, g.B)
+	return acc
 }
 
-// square sets g ← g² (Karatsuba-style two-multiplication squaring).
+// gt converts the accumulator out of Montgomery form.
+func (g *gtAcc) gt() *GT {
+	return &GT{A: g.f.toBig(&g.a), B: g.f.toBig(&g.b)}
+}
+
+// square sets g ← g²: (a+bi)² = (a−b)(a+b) + 2ab·i.
 func (g *gtAcc) square() {
-	g.t1.Add(g.a, g.b)
-	g.t2.Sub(g.a, g.b)
-	g.t3.Mul(g.a, g.b)
-	g.a.Mul(g.t1, g.t2)
-	g.reduce(g.a)
-	g.b.Lsh(g.t3, 1)
-	g.reduce(g.b)
+	f := g.f
+	var sum, diff, ab fe
+	f.add(&sum, &g.a, &g.b)
+	f.sub(&diff, &g.a, &g.b)
+	f.mul(&ab, &g.a, &g.b)
+	f.mul(&g.a, &sum, &diff)
+	f.add(&g.b, &ab, &ab)
 }
 
-// mul sets g ← g·(la + lb·i) for reduced la, lb using three
-// multiplications.
-func (g *gtAcc) mul(la, lb *big.Int) {
-	g.t1.Mul(g.a, la) // ac
-	g.t2.Mul(g.b, lb) // bd
-	g.t3.Add(g.a, g.b)
-	g.t4.Add(la, lb)
-	g.t3.Mul(g.t3, g.t4)
-	g.t3.Sub(g.t3, g.t1) // cross = ad + bc
-	g.t3.Sub(g.t3, g.t2)
-	g.a.Sub(g.t1, g.t2)
-	g.reduce(g.a)
-	g.reduce(g.t3)
-	g.b, g.t3 = g.t3, g.b
+// mul sets g ← g·(la + lb·i) with Karatsuba's three multiplications:
+// ad + bc = (a+b)(c+d) − ac − bd.
+func (g *gtAcc) mul(la, lb *fe) {
+	f := g.f
+	var ac, bd, xs, ys fe
+	f.mul(&ac, &g.a, la)
+	f.mul(&bd, &g.b, lb)
+	f.add(&xs, &g.a, &g.b)
+	f.add(&ys, la, lb)
+	f.mul(&xs, &xs, &ys)
+	f.sub(&xs, &xs, &ac)
+	f.sub(&g.b, &xs, &bd)
+	f.sub(&g.a, &ac, &bd)
 }
 
-// mulReal sets g ← g·la for a reduced real element (vertical lines have
-// zero imaginary part, so the full product collapses to two mults).
-func (g *gtAcc) mulReal(la *big.Int) {
-	g.t1.Mul(g.a, la)
-	g.reduce(g.t1)
-	g.a, g.t1 = g.t1, g.a
-	g.t2.Mul(g.b, la)
-	g.reduce(g.t2)
-	g.b, g.t2 = g.t2, g.b
+// mulReal sets g ← g·la for a real element (vertical lines have zero
+// imaginary part, so the full product collapses to two mults).
+func (g *gtAcc) mulReal(la *fe) {
+	g.f.mul(&g.a, &g.a, la)
+	g.f.mul(&g.b, &g.b, la)
 }
 
-// mulLine multiplies g by a cached Miller line evaluated at φ(b).
-func (g *gtAcc) mulLine(ln *line, xb, yb *big.Int) {
-	if ln.lambda == nil {
-		g.l.Neg(xb)
-		g.l.Sub(g.l, ln.x1)
-		g.reduce(g.l)
-		g.mulReal(g.l)
+// mulLine multiplies g by a cached Miller line evaluated at φ(b), where
+// (xb, yb) are b's Montgomery coordinates.
+func (g *gtAcc) mulLine(ln *line, xb, yb *fe) {
+	var l fe
+	if ln.vertical {
+		g.f.sub(&l, &ln.c, xb)
+		g.mulReal(&l)
 		return
 	}
-	g.l.Add(xb, ln.x1)
-	g.l.Mul(g.l, ln.lambda)
-	g.l.Sub(g.l, ln.y1)
-	g.reduce(g.l)
-	g.mul(g.l, yb)
+	g.f.mul(&l, &ln.lambda, xb)
+	g.f.add(&l, &l, &ln.c)
+	g.mul(&l, yb)
+}
+
+// exp sets g ← g^e for a non-negative exponent e.
+func (g *gtAcc) exp(e *big.Int) {
+	base := *g
+	g.a, g.b = g.f.one, fe{}
+	for i := e.BitLen() - 1; i >= 0; i-- {
+		g.square()
+		if e.Bit(i) == 1 {
+			g.mul(&base.a, &base.b)
+		}
+	}
 }
 
 // finalExp applies z ↦ z^{(p²−1)/r} to the accumulator and returns the
 // result, consuming the accumulator.
-func (g *gtAcc) finalExp() *GT {
-	p := g.p
-	// z^(p−1) = conj(z)/z: one inversion, then an in-place multiply.
-	inv := p.gtInv(&GT{A: g.a, B: g.b})
-	g.b.Neg(g.b)
-	if g.b.Sign() < 0 {
-		g.b.Add(g.b, p.P)
-	}
-	g.mul(inv.A, inv.B)
-	// Raise to (p+1)/r = h by square-and-multiply.
-	ba := new(big.Int).Set(g.a)
-	bb := new(big.Int).Set(g.b)
-	for i := p.H.BitLen() - 2; i >= 0; i-- {
-		g.square()
-		if p.H.Bit(i) == 1 {
-			g.mul(ba, bb)
-		}
-	}
-	return &GT{A: g.a, B: g.b}
+func (g *gtAcc) finalExp(h *big.Int) *GT {
+	f := g.f
+	// z^(p−1) = conj(z)/z: the Frobenius in F_{p²} is conjugation, and
+	// 1/z = conj(z)/N(z) with N(z) = a² + b², so one base-field
+	// inversion and one F_{p²} multiplication.
+	var norm, t, ia, ib fe
+	f.mul(&norm, &g.a, &g.a)
+	f.mul(&t, &g.b, &g.b)
+	f.add(&norm, &norm, &t)
+	f.inv(&norm, &norm)
+	f.mul(&ia, &g.a, &norm)
+	f.mul(&ib, &g.b, &norm)
+	f.neg(&ib, &ib)
+	f.neg(&g.b, &g.b)
+	g.mul(&ia, &ib)
+	// Then raise to (p+1)/r = h.
+	g.exp(h)
+	return g.gt()
 }
 
 // GTExp returns g^e reduced modulo the group order; it is the scalar action
 // on the target group used by tests asserting bilinearity.
 func (p *Params) GTExp(g *GT, e *big.Int) *GT {
-	re := new(big.Int).Mod(e, p.R)
-	return p.gtExp(g, re)
+	acc := p.loadGT(g)
+	acc.exp(new(big.Int).Mod(e, p.R))
+	return acc.gt()
 }
 
 // GTMul returns the product of two target-group elements.
-func (p *Params) GTMul(x, y *GT) *GT { return p.gtMul(x, y) }
+func (p *Params) GTMul(x, y *GT) *GT {
+	acc := p.loadGT(x)
+	var ya, yb fe
+	p.fp.fromBig(&ya, y.A)
+	p.fp.fromBig(&yb, y.B)
+	acc.mul(&ya, &yb)
+	return acc.gt()
+}
 
 // GTBytes returns a canonical encoding of a target-group element.
 func (p *Params) GTBytes(g *GT) []byte { return p.gtBytes(g) }

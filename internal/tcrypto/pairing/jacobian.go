@@ -2,145 +2,144 @@ package pairing
 
 import "math/big"
 
-// Jacobian-coordinate scalar multiplication. Affine double-and-add pays
-// one modular inversion per scalar bit (the chord/tangent slope); in
-// Jacobian projective coordinates (X, Y, Z) ~ (X/Z², Y/Z³) the whole walk
-// is inversion-free and a single inversion converts the result back to
-// affine. This is the hot path under Combine's Lagrange exponentiation,
-// share signing, batched share verification, and hashing to the curve.
+// Jacobian-coordinate scalar multiplication on the Montgomery field.
+// Affine double-and-add pays one modular inversion per scalar bit (the
+// chord/tangent slope); in Jacobian projective coordinates
+// (X, Y, Z) ~ (X/Z², Y/Z³) the whole walk is inversion-free and a single
+// inversion converts the result back to affine. This is the hot path
+// under Combine's Lagrange exponentiation, share signing, batched share
+// verification, and hashing to the curve. Points are converted into
+// Montgomery form once on entry and out of it once on exit, so the walk
+// itself allocates nothing.
 //
 // Formulas are the standard dbl-2007-bl / madd-2007-bl for
 // y² = x³ + a·x with a = 1 (this package's supersingular curve).
 
+// affine is a finite curve point with Montgomery coordinates.
+type affine struct {
+	x, y fe
+}
+
 // jacPoint is a point in Jacobian coordinates; z == 0 is infinity.
 type jacPoint struct {
-	x, y, z *big.Int
+	x, y, z fe
 }
 
-// jacInfinity returns the identity.
-func jacInfinity() *jacPoint {
-	return &jacPoint{x: big.NewInt(1), y: big.NewInt(1), z: new(big.Int)}
+// toMont converts a finite API point into Montgomery coordinates.
+func (p *Params) toMont(pt *Point) affine {
+	var a affine
+	p.fp.fromBig(&a.x, pt.X)
+	p.fp.fromBig(&a.y, pt.Y)
+	return a
 }
 
-// fromAffine lifts an affine point to Jacobian coordinates.
-func fromAffine(pt *Point) *jacPoint {
-	return &jacPoint{x: new(big.Int).Set(pt.X), y: new(big.Int).Set(pt.Y), z: big.NewInt(1)}
+// negAffine returns −a.
+func (p *Params) negAffine(a *affine) affine {
+	n := affine{x: a.x}
+	p.fp.neg(&n.y, &a.y)
+	return n
 }
 
 // toAffine projects back, paying the single inversion.
 func (p *Params) toAffine(j *jacPoint) *Point {
-	if j.z.Sign() == 0 {
+	if j.z.isZero() {
 		return Infinity()
 	}
-	zInv := new(big.Int).ModInverse(j.z, p.P)
-	zInv2 := new(big.Int).Mul(zInv, zInv)
-	zInv2.Mod(zInv2, p.P)
-	x := new(big.Int).Mul(j.x, zInv2)
-	x.Mod(x, p.P)
-	zInv3 := zInv2.Mul(zInv2, zInv)
-	zInv3.Mod(zInv3, p.P)
-	y := new(big.Int).Mul(j.y, zInv3)
-	y.Mod(y, p.P)
-	return &Point{X: x, Y: y}
+	f := &p.fp
+	var zInv, zInv2, x, y fe
+	f.inv(&zInv, &j.z)
+	f.mul(&zInv2, &zInv, &zInv)
+	f.mul(&x, &j.x, &zInv2)
+	f.mul(&zInv, &zInv, &zInv2) // Z⁻³
+	f.mul(&y, &j.y, &zInv)
+	return &Point{X: f.toBig(&x), Y: f.toBig(&y)}
 }
 
-// jacDouble returns 2·j.
-func (p *Params) jacDouble(j *jacPoint) *jacPoint {
-	if j.z.Sign() == 0 || j.y.Sign() == 0 {
-		return jacInfinity()
+// jacDouble sets j ← 2·j.
+func (p *Params) jacDouble(j *jacPoint) {
+	if j.z.isZero() || j.y.isZero() {
+		j.z = fe{}
+		return
 	}
-	xx := new(big.Int).Mul(j.x, j.x)
-	xx.Mod(xx, p.P)
-	yy := new(big.Int).Mul(j.y, j.y)
-	yy.Mod(yy, p.P)
-	yyyy := new(big.Int).Mul(yy, yy)
-	yyyy.Mod(yyyy, p.P)
-	zz := new(big.Int).Mul(j.z, j.z)
-	zz.Mod(zz, p.P)
+	f := &p.fp
+	var xx, yy, yyyy, zz, s, m, t fe
+	f.mul(&xx, &j.x, &j.x)
+	f.mul(&yy, &j.y, &j.y)
+	f.mul(&yyyy, &yy, &yy)
+	f.mul(&zz, &j.z, &j.z)
 	// S = 2·((X+YY)² − XX − YYYY)
-	s := new(big.Int).Add(j.x, yy)
-	s.Mul(s, s)
-	s.Sub(s, xx)
-	s.Sub(s, yyyy)
-	s.Lsh(s, 1)
-	s.Mod(s, p.P)
+	f.add(&s, &j.x, &yy)
+	f.mul(&s, &s, &s)
+	f.sub(&s, &s, &xx)
+	f.sub(&s, &s, &yyyy)
+	f.add(&s, &s, &s)
 	// M = 3·XX + a·ZZ² with a = 1.
-	m := new(big.Int).Lsh(xx, 1)
-	m.Add(m, xx)
-	zz2 := new(big.Int).Mul(zz, zz)
-	m.Add(m, zz2)
-	m.Mod(m, p.P)
-	// X3 = M² − 2·S
-	x3 := new(big.Int).Mul(m, m)
-	x3.Sub(x3, s)
-	x3.Sub(x3, s)
-	x3.Mod(x3, p.P)
-	// Y3 = M·(S − X3) − 8·YYYY
-	y3 := new(big.Int).Sub(s, x3)
-	y3.Mul(y3, m)
-	y3.Sub(y3, new(big.Int).Lsh(yyyy, 3))
-	y3.Mod(y3, p.P)
+	f.add(&m, &xx, &xx)
+	f.add(&m, &m, &xx)
+	f.mul(&t, &zz, &zz)
+	f.add(&m, &m, &t)
 	// Z3 = (Y+Z)² − YY − ZZ = 2·Y·Z
-	z3 := new(big.Int).Add(j.y, j.z)
-	z3.Mul(z3, z3)
-	z3.Sub(z3, yy)
-	z3.Sub(z3, zz)
-	z3.Mod(z3, p.P)
-	return &jacPoint{x: x3, y: y3, z: z3}
+	f.add(&j.z, &j.y, &j.z)
+	f.mul(&j.z, &j.z, &j.z)
+	f.sub(&j.z, &j.z, &yy)
+	f.sub(&j.z, &j.z, &zz)
+	// X3 = M² − 2·S
+	f.mul(&j.x, &m, &m)
+	f.sub(&j.x, &j.x, &s)
+	f.sub(&j.x, &j.x, &s)
+	// Y3 = M·(S − X3) − 8·YYYY
+	f.sub(&t, &s, &j.x)
+	f.mul(&j.y, &m, &t)
+	f.add(&yyyy, &yyyy, &yyyy)
+	f.add(&yyyy, &yyyy, &yyyy)
+	f.add(&yyyy, &yyyy, &yyyy)
+	f.sub(&j.y, &j.y, &yyyy)
 }
 
-// jacAddAffine returns j + pt for an affine pt (mixed addition).
-func (p *Params) jacAddAffine(j *jacPoint, pt *Point) *jacPoint {
-	if j.z.Sign() == 0 {
-		return fromAffine(pt)
+// jacAddAffine sets j ← j + a (mixed addition).
+func (p *Params) jacAddAffine(j *jacPoint, a *affine) {
+	f := &p.fp
+	if j.z.isZero() {
+		*j = jacPoint{x: a.x, y: a.y, z: f.one}
+		return
 	}
-	z1z1 := new(big.Int).Mul(j.z, j.z)
-	z1z1.Mod(z1z1, p.P)
-	u2 := new(big.Int).Mul(pt.X, z1z1)
-	u2.Mod(u2, p.P)
-	s2 := new(big.Int).Mul(pt.Y, j.z)
-	s2.Mul(s2, z1z1)
-	s2.Mod(s2, p.P)
-	h := new(big.Int).Sub(u2, j.x)
-	h.Mod(h, p.P)
-	r := new(big.Int).Sub(s2, j.y)
-	r.Mod(r, p.P)
-	if h.Sign() == 0 {
-		if r.Sign() == 0 {
-			return p.jacDouble(j)
+	var z1z1, u2, s2, h, r, hh, i, jj, v, yj fe
+	f.mul(&z1z1, &j.z, &j.z)
+	f.mul(&u2, &a.x, &z1z1)
+	f.mul(&s2, &a.y, &j.z)
+	f.mul(&s2, &s2, &z1z1)
+	f.sub(&h, &u2, &j.x)
+	f.sub(&r, &s2, &j.y)
+	if h.isZero() {
+		if r.isZero() {
+			p.jacDouble(j)
+		} else {
+			j.z = fe{}
 		}
-		return jacInfinity()
+		return
 	}
-	r.Lsh(r, 1)
-	r.Mod(r, p.P)
-	hh := new(big.Int).Mul(h, h)
-	hh.Mod(hh, p.P)
-	i := new(big.Int).Lsh(hh, 2)
-	i.Mod(i, p.P)
-	jj := new(big.Int).Mul(h, i)
-	jj.Mod(jj, p.P)
-	v := new(big.Int).Mul(j.x, i)
-	v.Mod(v, p.P)
-	// X3 = r² − J − 2·V
-	x3 := new(big.Int).Mul(r, r)
-	x3.Sub(x3, jj)
-	x3.Sub(x3, v)
-	x3.Sub(x3, v)
-	x3.Mod(x3, p.P)
-	// Y3 = r·(V − X3) − 2·Y1·J
-	y3 := new(big.Int).Sub(v, x3)
-	y3.Mul(y3, r)
-	t := new(big.Int).Mul(j.y, jj)
-	t.Lsh(t, 1)
-	y3.Sub(y3, t)
-	y3.Mod(y3, p.P)
+	f.add(&r, &r, &r)
+	f.mul(&hh, &h, &h)
+	f.add(&i, &hh, &hh)
+	f.add(&i, &i, &i)
+	f.mul(&jj, &h, &i)
+	f.mul(&v, &j.x, &i)
+	f.mul(&yj, &j.y, &jj)
 	// Z3 = (Z1+H)² − Z1Z1 − HH = 2·Z1·H
-	z3 := new(big.Int).Add(j.z, h)
-	z3.Mul(z3, z3)
-	z3.Sub(z3, z1z1)
-	z3.Sub(z3, hh)
-	z3.Mod(z3, p.P)
-	return &jacPoint{x: x3, y: y3, z: z3}
+	f.add(&j.z, &j.z, &h)
+	f.mul(&j.z, &j.z, &j.z)
+	f.sub(&j.z, &j.z, &z1z1)
+	f.sub(&j.z, &j.z, &hh)
+	// X3 = r² − J − 2·V
+	f.mul(&j.x, &r, &r)
+	f.sub(&j.x, &j.x, &jj)
+	f.sub(&j.x, &j.x, &v)
+	f.sub(&j.x, &j.x, &v)
+	// Y3 = r·(V − X3) − 2·Y1·J
+	f.sub(&v, &v, &j.x)
+	f.mul(&j.y, &r, &v)
+	f.add(&yj, &yj, &yj)
+	f.sub(&j.y, &j.y, &yj)
 }
 
 // naf returns the non-adjacent form of a non-negative k, least
@@ -182,27 +181,21 @@ func (p *Params) balancedNAF(kr *big.Int) (digits []int8, flip bool) {
 	return naf(kr), false
 }
 
-// scalarMulDigits walks a signed-digit expansion over pt.
-func (p *Params) scalarMulDigits(pt *Point, digits []int8) *Point {
-	neg := p.Neg(pt)
-	acc := jacInfinity()
+// mulDigits walks a signed-digit expansion over a, most significant
+// digit first, and returns the affine result.
+func (p *Params) mulDigits(a *affine, digits []int8) *Point {
+	neg := p.negAffine(a)
+	var acc jacPoint
 	for i := len(digits) - 1; i >= 0; i-- {
-		acc = p.jacDouble(acc)
+		p.jacDouble(&acc)
 		switch digits[i] {
 		case 1:
-			acc = p.jacAddAffine(acc, pt)
+			p.jacAddAffine(&acc, a)
 		case -1:
-			acc = p.jacAddAffine(acc, neg)
+			p.jacAddAffine(&acc, &neg)
 		}
 	}
-	return p.toAffine(acc)
-}
-
-// scalarMulJacobian computes k·pt (k non-negative, not necessarily below
-// the group order — cofactor clearing passes h) via inversion-free signed
-// double-and-add.
-func (p *Params) scalarMulJacobian(pt *Point, k *big.Int) *Point {
-	return p.scalarMulDigits(pt, naf(k))
+	return p.toAffine(&acc)
 }
 
 // MultiScalarMul computes Σᵢ kᵢ·ptᵢ with a single shared doubling chain
@@ -215,7 +208,7 @@ func (p *Params) MultiScalarMul(points []*Point, scalars []*big.Int) *Point {
 		panic("pairing: MultiScalarMul length mismatch")
 	}
 	type term struct {
-		pt, neg *Point
+		pt, neg affine
 		digits  []int8
 	}
 	terms := make([]term, 0, len(points))
@@ -226,7 +219,8 @@ func (p *Params) MultiScalarMul(points []*Point, scalars []*big.Int) *Point {
 			continue
 		}
 		digits, flip := p.balancedNAF(kr)
-		t := term{pt: pt, neg: p.Neg(pt), digits: digits}
+		t := term{pt: p.toMont(pt), digits: digits}
+		t.neg = p.negAffine(&t.pt)
 		if flip {
 			t.pt, t.neg = t.neg, t.pt
 		}
@@ -238,20 +232,21 @@ func (p *Params) MultiScalarMul(points []*Point, scalars []*big.Int) *Point {
 	if len(terms) == 0 {
 		return Infinity()
 	}
-	acc := jacInfinity()
+	var acc jacPoint
 	for i := maxLen - 1; i >= 0; i-- {
-		acc = p.jacDouble(acc)
-		for _, t := range terms {
+		p.jacDouble(&acc)
+		for k := range terms {
+			t := &terms[k]
 			if i >= len(t.digits) {
 				continue
 			}
 			switch t.digits[i] {
 			case 1:
-				acc = p.jacAddAffine(acc, t.pt)
+				p.jacAddAffine(&acc, &t.pt)
 			case -1:
-				acc = p.jacAddAffine(acc, t.neg)
+				p.jacAddAffine(&acc, &t.neg)
 			}
 		}
 	}
-	return p.toAffine(acc)
+	return p.toAffine(&acc)
 }

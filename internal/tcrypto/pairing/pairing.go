@@ -20,59 +20,40 @@ func (p *Params) Pair(a, b *Point) *GT {
 		return gtOne()
 	}
 	metrics.Crypto.Pairings.Add(1)
-	f := p.miller(a, b)
-	return p.finalExp(f)
+	return p.miller(a, b).finalExp(p.H)
 }
 
-// miller runs Miller's algorithm computing f_{r,a}(φ(b)).
-//
-// Lines through points of E(F_p) are evaluated at φ(b) = (−x_b, i·y_b):
-// a chord with slope λ through (x1, y1) evaluates to
-//
-//	(i·y_b) − y1 − λ(−x_b − x1)  =  [−y1 + λ(x_b + x1)] + y_b·i,
-//
-// and a vertical line through x1 evaluates to (−x_b − x1) + 0·i.
-func (p *Params) miller(a, b *Point) *GT {
-	xb := b.X
-	yb := b.Y
-
-	f := gtOne()
+// miller runs Miller's algorithm computing f_{r,a}(φ(b)). It walks the
+// running point in affine math/big arithmetic, paying an inversion per
+// step; it is the reference that Prepare's cached walk must agree with,
+// not a hot path.
+func (p *Params) miller(a, b *Point) *gtAcc {
+	mb := p.toMont(b)
+	f := newGTAcc(p)
 	v := a.Clone()
 
-	// chordAt evaluates the line with slope lambda through (x1, y1) at φ(b).
-	chordAt := func(x1, y1, lambda *big.Int) *GT {
-		re := new(big.Int).Add(xb, x1)
-		re.Mul(re, lambda)
-		re.Sub(re, y1)
-		p.modP(re)
-		return &GT{A: re, B: new(big.Int).Set(yb)}
+	// tangent multiplies in the tangent line at v and doubles v.
+	tangent := func() {
+		lambda := p.tangentSlope(v)
+		ln := p.chordLine(v.X, v.Y, lambda)
+		f.mulLine(&ln, &mb.x, &mb.y)
+		v = p.chord(v, v, lambda)
 	}
-	// verticalAt evaluates the vertical line x = x1 at φ(b).
-	verticalAt := func(x1 *big.Int) *GT {
-		re := new(big.Int).Neg(xb)
-		re.Sub(re, x1)
-		p.modP(re)
-		return &GT{A: re, B: big.NewInt(0)}
+	// vertical multiplies in the vertical line at v, which sends v to ∞.
+	vertical := func() {
+		ln := p.verticalLine(v.X)
+		f.mulLine(&ln, &mb.x, &mb.y)
+		v = Infinity()
 	}
 
 	for i := p.R.BitLen() - 2; i >= 0; i-- {
 		// Doubling step: f ← f² · l_{v,v}(φ(b)); v ← 2v.
-		f = p.gtSquare(f)
+		f.square()
 		if !v.IsInfinity() {
 			if v.Y.Sign() == 0 {
-				f = p.gtMul(f, verticalAt(v.X))
-				v = Infinity()
+				vertical()
 			} else {
-				num := new(big.Int).Mul(v.X, v.X)
-				num.Mul(num, big.NewInt(3))
-				num.Add(num, big.NewInt(1))
-				den := new(big.Int).Lsh(v.Y, 1)
-				den.Mod(den, p.P)
-				den.ModInverse(den, p.P)
-				lambda := num.Mul(num, den)
-				lambda.Mod(lambda, p.P)
-				f = p.gtMul(f, chordAt(v.X, v.Y, lambda))
-				v = p.chord(v, v, lambda)
+				tangent()
 			}
 		}
 		if p.R.Bit(i) == 1 {
@@ -84,29 +65,14 @@ func (p *Params) miller(a, b *Point) *GT {
 				sum := new(big.Int).Add(v.Y, a.Y)
 				sum.Mod(sum, p.P)
 				if sum.Sign() == 0 {
-					f = p.gtMul(f, verticalAt(v.X))
-					v = Infinity()
+					vertical()
 				} else {
-					// v == a: tangent line (same as doubling step).
-					num := new(big.Int).Mul(v.X, v.X)
-					num.Mul(num, big.NewInt(3))
-					num.Add(num, big.NewInt(1))
-					den := new(big.Int).Lsh(v.Y, 1)
-					den.Mod(den, p.P)
-					den.ModInverse(den, p.P)
-					lambda := num.Mul(num, den)
-					lambda.Mod(lambda, p.P)
-					f = p.gtMul(f, chordAt(v.X, v.Y, lambda))
-					v = p.chord(v, v, lambda)
+					tangent() // v == a
 				}
 			default:
-				num := new(big.Int).Sub(a.Y, v.Y)
-				den := new(big.Int).Sub(a.X, v.X)
-				den.Mod(den, p.P)
-				den.ModInverse(den, p.P)
-				lambda := num.Mul(num, den)
-				lambda.Mod(lambda, p.P)
-				f = p.gtMul(f, chordAt(v.X, v.Y, lambda))
+				lambda := p.chordSlope(v, a)
+				ln := p.chordLine(v.X, v.Y, lambda)
+				f.mulLine(&ln, &mb.x, &mb.y)
 				v = p.chord(v, a, lambda)
 			}
 		}
@@ -114,36 +80,23 @@ func (p *Params) miller(a, b *Point) *GT {
 	return f
 }
 
-// finalExp raises z to (p²−1)/r = (p−1)·h, mapping Miller-function values
-// onto the order-r subgroup of F_{p^2}.
-func (p *Params) finalExp(z *GT) *GT {
-	// z^(p−1) = conj(z)/z: the Frobenius in F_{p^2} is conjugation.
-	t := p.gtMul(p.gtConj(z), p.gtInv(z))
-	// Then raise to (p+1)/r = h.
-	return p.gtExp(t, p.H)
-}
-
 // HashToG1 hashes arbitrary bytes to a point of order r using
 // try-and-increment followed by cofactor clearing.
 func (p *Params) HashToG1(msg []byte) *Point {
+	f := &p.fp
 	for ctr := uint32(0); ; ctr++ {
-		x := p.hashToField(msg, ctr)
-		// y² = x³ + x
-		y2 := new(big.Int).Mul(x, x)
-		y2.Mul(y2, x)
-		y2.Add(y2, x)
-		y2.Mod(y2, p.P)
-		if y2.Sign() == 0 {
+		var a affine
+		f.fromBig(&a.x, p.hashToField(msg, ctr))
+		var y2 fe
+		p.curveRHS(&y2, &a.x)
+		if y2.isZero() {
 			continue
 		}
 		// Since p ≡ 3 (mod 4), a square root, if any, is y2^((p+1)/4).
-		y := new(big.Int).Exp(y2, p.sqrtExp, p.P)
-		check := new(big.Int).Mul(y, y)
-		check.Mod(check, p.P)
-		if check.Cmp(y2) != 0 {
+		if !f.sqrt(&a.y, &y2) {
 			continue // not a quadratic residue; try next counter
 		}
-		pt := p.cofactorMul(&Point{X: x, Y: y})
+		pt := p.mulDigits(&a, p.hDigits)
 		if pt.IsInfinity() {
 			continue
 		}

@@ -8,11 +8,35 @@ import (
 
 // line caches one Miller-loop line function through points of E(F_p),
 // ready to be evaluated at a distorted second argument φ(b) = (−x_b, i·y_b).
-// A chord/tangent with slope lambda through (x1, y1) evaluates to
-// [−y1 + lambda·(x_b + x1)] + y_b·i; a vertical line x = x1 (lambda nil)
-// evaluates to (−x_b − x1) + 0·i.
+// A chord/tangent with slope λ through (x1, y1) evaluates to
+// [λ·x_b + (λ·x1 − y1)] + y_b·i, and a vertical line x = x1 to
+// (−x1 − x_b) + 0·i; both are stored as Montgomery constants so that
+// evaluating a line costs at most one field multiplication.
 type line struct {
-	x1, y1, lambda *big.Int // lambda == nil marks a vertical line
+	lambda   fe // slope (chords and tangents only)
+	c        fe // λ·x1 − y1, or −x1 for a vertical line
+	vertical bool
+}
+
+// chordLine returns the line with slope lambda through (x1, y1).
+func (p *Params) chordLine(x1, y1, lambda *big.Int) line {
+	f := &p.fp
+	var ln line
+	var mx, my fe
+	f.fromBig(&ln.lambda, lambda)
+	f.fromBig(&mx, x1)
+	f.fromBig(&my, y1)
+	f.mul(&ln.c, &ln.lambda, &mx)
+	f.sub(&ln.c, &ln.c, &my)
+	return ln
+}
+
+// verticalLine returns the line x = x1.
+func (p *Params) verticalLine(x1 *big.Int) line {
+	ln := line{vertical: true}
+	p.fp.fromBig(&ln.c, x1)
+	p.fp.neg(&ln.c, &ln.c)
+	return ln
 }
 
 // millerStep is one iteration of the Miller loop over the bits of r: an
@@ -43,85 +67,90 @@ type PreparedPoint struct {
 func (pp *PreparedPoint) Point() *Point { return pp.a.Clone() }
 
 // Prepare computes the Miller-loop line coefficients for a fixed first
-// pairing argument. The walk mirrors miller() exactly, recording each
-// line instead of evaluating it.
+// pairing argument. The walk mirrors miller() step for step, recording
+// each line instead of evaluating it; it runs in affine Montgomery
+// coordinates, so besides the one inversion per line (the slope) it
+// allocates only the recorded lines.
 func (p *Params) Prepare(a *Point) *PreparedPoint {
 	if a.IsInfinity() {
 		return &PreparedPoint{a: Infinity(), inf: true}
 	}
 	metrics.Crypto.PointPrepares.Add(1)
 	prep := &PreparedPoint{a: a.Clone(), steps: make([]millerStep, 0, p.R.BitLen()-1)}
-	v := a.Clone()
+	f := &p.fp
+	base := p.toMont(a)
+	v, vInf := base, false
 
-	// tangentAt returns the tangent line at w and the doubled point.
-	// Point coordinates are never mutated after creation, so the line may
-	// alias them.
-	tangentAt := func(w *Point) (*line, *Point) {
-		num := new(big.Int).Mul(w.X, w.X)
-		num.Mul(num, big.NewInt(3))
-		num.Add(num, big.NewInt(1))
-		den := new(big.Int).Lsh(w.Y, 1)
-		den.Mod(den, p.P)
-		den.ModInverse(den, p.P)
-		lambda := num.Mul(num, den)
-		lambda.Mod(lambda, p.P)
-		return &line{x1: w.X, y1: w.Y, lambda: lambda}, p.chord(w, w, lambda)
+	// through records the line with slope num/den through v and moves v
+	// to the curve's third point on it, reflected: x3 = λ² − x_v − x2.
+	through := func(num, den, x2 *fe) *line {
+		ln := &line{}
+		f.inv(&ln.lambda, den)
+		f.mul(&ln.lambda, &ln.lambda, num)
+		f.mul(&ln.c, &ln.lambda, &v.x)
+		f.sub(&ln.c, &ln.c, &v.y)
+		var x3, t fe
+		f.mul(&x3, &ln.lambda, &ln.lambda)
+		f.sub(&x3, &x3, &v.x)
+		f.sub(&x3, &x3, x2)
+		f.sub(&t, &v.x, &x3)
+		f.mul(&t, &t, &ln.lambda)
+		f.sub(&v.y, &t, &v.y)
+		v.x = x3
+		return ln
+	}
+	// tangent records the tangent at v, slope (3x² + 1)/(2y), and doubles v.
+	tangent := func() *line {
+		var num, den fe
+		f.mul(&num, &v.x, &v.x)
+		f.add(&den, &num, &num)
+		f.add(&num, &den, &num)
+		f.add(&num, &num, &f.one)
+		f.add(&den, &v.y, &v.y)
+		x := v.x
+		return through(&num, &den, &x)
+	}
+	// vertical records the vertical line at v, which sends v to ∞.
+	vertical := func() *line {
+		ln := &line{vertical: true}
+		f.neg(&ln.c, &v.x)
+		vInf = true
+		return ln
 	}
 
 	for i := p.R.BitLen() - 2; i >= 0; i-- {
 		var step millerStep
 		// Doubling step.
-		if !v.IsInfinity() {
-			if v.Y.Sign() == 0 {
-				step.dbl = &line{x1: v.X}
-				v = Infinity()
+		if !vInf {
+			if v.y.isZero() {
+				step.dbl = vertical()
 			} else {
-				step.dbl, v = tangentAt(v)
+				step.dbl = tangent()
 			}
 		}
 		// Addition step.
 		if p.R.Bit(i) == 1 {
 			switch {
-			case v.IsInfinity():
-				v = a.Clone()
-			case v.X.Cmp(a.X) == 0:
-				sum := new(big.Int).Add(v.Y, a.Y)
-				sum.Mod(sum, p.P)
-				if sum.Sign() == 0 {
-					step.add = &line{x1: v.X}
-					v = Infinity()
+			case vInf:
+				v, vInf = base, false
+			case v.x == base.x:
+				var sum fe
+				f.add(&sum, &v.y, &base.y)
+				if sum.isZero() {
+					step.add = vertical()
 				} else {
-					step.add, v = tangentAt(v)
+					step.add = tangent()
 				}
 			default:
-				num := new(big.Int).Sub(a.Y, v.Y)
-				den := new(big.Int).Sub(a.X, v.X)
-				den.Mod(den, p.P)
-				den.ModInverse(den, p.P)
-				lambda := num.Mul(num, den)
-				lambda.Mod(lambda, p.P)
-				step.add = &line{x1: v.X, y1: v.Y, lambda: lambda}
-				v = p.chord(v, a, lambda)
+				var num, den fe
+				f.sub(&num, &base.y, &v.y)
+				f.sub(&den, &base.x, &v.x)
+				step.add = through(&num, &den, &base.x)
 			}
 		}
 		prep.steps = append(prep.steps, step)
 	}
 	return prep
-}
-
-// evalLine evaluates a cached line at φ(b) for b = (xb, yb).
-func (p *Params) evalLine(l *line, xb, yb *big.Int) *GT {
-	if l.lambda == nil {
-		re := new(big.Int).Neg(xb)
-		re.Sub(re, l.x1)
-		p.modP(re)
-		return &GT{A: re, B: big.NewInt(0)}
-	}
-	re := new(big.Int).Add(xb, l.x1)
-	re.Mul(re, l.lambda)
-	re.Sub(re, l.y1)
-	p.modP(re)
-	return &GT{A: re, B: new(big.Int).Set(yb)}
 }
 
 // PairPrepared computes e(a, b) for a prepared first argument, replaying
@@ -132,18 +161,19 @@ func (p *Params) PairPrepared(prep *PreparedPoint, b *Point) *GT {
 		return gtOne()
 	}
 	metrics.Crypto.PreparedPairings.Add(1)
+	mb := p.toMont(b)
 	acc := newGTAcc(p)
 	for i := range prep.steps {
 		acc.square()
 		st := &prep.steps[i]
 		if st.dbl != nil {
-			acc.mulLine(st.dbl, b.X, b.Y)
+			acc.mulLine(st.dbl, &mb.x, &mb.y)
 		}
 		if st.add != nil {
-			acc.mulLine(st.add, b.X, b.Y)
+			acc.mulLine(st.add, &mb.x, &mb.y)
 		}
 	}
-	return acc.finalExp()
+	return acc.finalExp(p.H)
 }
 
 // ProductTerm is one factor e(first, B) of a pairing product. The first
@@ -166,8 +196,8 @@ type ProductTerm struct {
 // Type-A pairing), with G and X prepared.
 func (p *Params) PairProduct(terms ...ProductTerm) *GT {
 	type active struct {
-		steps  []millerStep
-		xb, yb *big.Int
+		steps []millerStep
+		b     affine
 	}
 	acts := make([]active, 0, len(terms))
 	for _, t := range terms {
@@ -178,7 +208,7 @@ func (p *Params) PairProduct(terms ...ProductTerm) *GT {
 		if prep.inf || t.B.IsInfinity() {
 			continue // factor is 1
 		}
-		acts = append(acts, active{steps: prep.steps, xb: t.B.X, yb: t.B.Y})
+		acts = append(acts, active{steps: prep.steps, b: p.toMont(t.B)})
 	}
 	if len(acts) == 0 {
 		return gtOne()
@@ -189,15 +219,16 @@ func (p *Params) PairProduct(terms ...ProductTerm) *GT {
 	// R.BitLen()-1 steps, so the walks align bit for bit.
 	for i := range acts[0].steps {
 		acc.square()
-		for _, a := range acts {
+		for k := range acts {
+			a := &acts[k]
 			st := &a.steps[i]
 			if st.dbl != nil {
-				acc.mulLine(st.dbl, a.xb, a.yb)
+				acc.mulLine(st.dbl, &a.b.x, &a.b.y)
 			}
 			if st.add != nil {
-				acc.mulLine(st.add, a.xb, a.yb)
+				acc.mulLine(st.add, &a.b.x, &a.b.y)
 			}
 		}
 	}
-	return acc.finalExp()
+	return acc.finalExp(p.H)
 }

@@ -57,7 +57,7 @@ func TestPairProductMatchesPairs(t *testing.T) {
 			kb, _ := p.RandomScalar(rand.Reader)
 			a := p.ScalarBaseMul(ka)
 			b := p.ScalarBaseMul(kb)
-			want = p.gtMul(want, p.Pair(a, b))
+			want = p.GTMul(want, p.Pair(a, b))
 			if i%2 == 0 {
 				terms = append(terms, ProductTerm{Prep: p.Prepare(a), B: b})
 			} else {
