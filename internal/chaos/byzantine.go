@@ -22,10 +22,7 @@ func (r *run) scheduleByzantine() {
 	}
 	n := r.net
 	quorum := r.net.Domains[0].Controllers[0].Quorum()
-	kinds := 3
-	if r.p.BatchSize > 1 {
-		kinds = 4 // add fabricated batch-share quorums under a forged root
-	}
+	const kinds = 4
 	const injections = 6
 	for i := 0; i < injections; i++ {
 		at := 10*time.Millisecond + time.Duration(r.rng.Int63n(int64(r.p.FlowWindow)))
@@ -52,8 +49,9 @@ func (r *run) scheduleByzantine() {
 			}}
 			switch kind {
 			case 0:
-				// A full fabricated share quorum: the switch reaches its
-				// share count and must fail aggregate verification.
+				// A full fabricated per-update share quorum: threshold
+				// switches take only batch-signed updates and must reject
+				// every copy outright, canary or not.
 				for j := 0; j < quorum; j++ {
 					msg := protocol.MsgUpdate{
 						UpdateID:   id,

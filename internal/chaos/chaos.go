@@ -76,9 +76,9 @@ type Profile struct {
 	// switch-to-controller partitions.
 	Partitions bool
 	// Byzantine designates the last controller of the domain as Byzantine:
-	// its outgoing shares are mutated (garbage, wrong index, stale phase),
-	// its PrePrepares equivocate, and it injects forged updates and bare
-	// PACKET_OUTs at switches.
+	// its outgoing batch updates are mutated (forged root, spliced
+	// content, garbage root share), its PrePrepares equivocate, and it
+	// injects forged updates and bare PACKET_OUTs at switches.
 	Byzantine bool
 
 	// Metadata enables the signed-metadata plane and its campaign: policy

@@ -89,13 +89,6 @@ func corruptMessage(msg simnet.Message) simnet.Message {
 	case protocol.MsgAck:
 		m.Env.Payload = flip(m.Env.Payload)
 		return m
-	case protocol.MsgUpdate:
-		if len(m.Share) > 0 {
-			m.Share = flip(m.Share)
-		} else {
-			m.ShareIndex = 0 // malformed share
-		}
-		return m
 	case protocol.MsgAggUpdate:
 		m.Signature = flip(m.Signature)
 		return m
@@ -117,20 +110,12 @@ func corruptMessage(msg simnet.Message) simnet.Message {
 
 // byzMutate tampers with the Byzantine controller's outgoing message, or
 // returns nil to send it untouched. Mutations are the paper's §2 threat
-// model: bad signature shares, shares under a stale epoch, equivocating
-// proposals. They must never fabricate data that would pass verification —
+// model: forged batch roots, content spliced under honest proofs, bad
+// signature shares, equivocating proposals. They must never fabricate data that would pass verification —
 // the point is proving the protocol rejects them.
 func (in *injector) byzMutate(to simnet.NodeID, msg simnet.Message) simnet.Message {
 	r := in.r
 	switch m := msg.(type) {
-	case protocol.MsgUpdate:
-		out, kind := byzMutateUpdate(r.rng, len(r.ctls), m)
-		if kind == "" {
-			return nil
-		}
-		r.counter.Add(kind, 1)
-		r.tr.Add(r.net.Sim.Now(), kind, fmt.Sprintf("->%s %s", to, out.UpdateID))
-		return out
 	case protocol.MsgBatchUpdate:
 		out, kind := byzMutateBatch(r.rng, m)
 		if kind == "" {
@@ -150,27 +135,6 @@ func (in *injector) byzMutate(to simnet.NodeID, msg simnet.Message) simnet.Messa
 		return out
 	}
 	return nil
-}
-
-// byzMutateUpdate applies one of the share mutations (garbage bytes, a
-// stolen share index, a stale epoch), drawing the gate and the choice from
-// rng in a fixed order so seeded runs stay deterministic. It returns the
-// (possibly mutated) message and the mutation kind ("" = untouched).
-func byzMutateUpdate(rng *rand.Rand, nctls int, m protocol.MsgUpdate) (protocol.MsgUpdate, string) {
-	if rng.Float64() >= byzMutateProb {
-		return m, ""
-	}
-	switch rng.Intn(3) {
-	case 0: // garbage share bytes
-		m.Share = garbageBytes(rng, len(m.Share))
-		return m, "byz-bad-share"
-	case 1: // claim another controller's share index
-		m.ShareIndex = m.ShareIndex%uint32(nctls) + 1
-		return m, "byz-wrong-index"
-	default: // stale-epoch share
-		m.Phase += 1000
-		return m, "byz-stale-phase"
-	}
 }
 
 // byzMutateBatch applies one of the batch-path mutations: a forged batch

@@ -291,7 +291,6 @@ type liveInjector struct {
 	link     LinkFaults
 	byz      fabric.NodeID
 	hosts    []string
-	nctls    int
 	forgeSeq uint64
 	rec      *liveRecorder
 	debugBFT bool // CHAOS_DEBUG_BFT: trace every broadcast message
@@ -366,12 +365,6 @@ func bftDebugString(m protocol.MsgBFT) string {
 // in.mu).
 func (in *liveInjector) byzMutate(msg fabric.Message) (fabric.Message, string) {
 	switch m := msg.(type) {
-	case protocol.MsgUpdate:
-		out, kind := byzMutateUpdate(in.rng, in.nctls, m)
-		if kind == "" {
-			return nil, ""
-		}
-		return out, kind
 	case protocol.MsgBatchUpdate:
 		out, kind := byzMutateBatch(in.rng, m)
 		if kind == "" {
@@ -678,7 +671,6 @@ func RunLiveSeed(p Profile, opt LiveOptions) (res LiveResult) {
 		link:  p.Link,
 		byz:   lr.byz,
 		hosts: lr.hosts,
-		nctls: len(dom.Members),
 		rec:   lr.rec,
 
 		debugBFT: os.Getenv("CHAOS_DEBUG_BFT") != "",
@@ -935,10 +927,7 @@ func (lr *liveRun) scheduleLiveByzantine() {
 		return
 	}
 	quorum := lr.net.Domains[0].Controllers[0].Quorum()
-	kinds := 3
-	if lr.p.BatchSize > 1 {
-		kinds = 4 // add fabricated batch-share quorums under a forged root
-	}
+	const kinds = 4
 	const injections = 6
 	for i := 0; i < injections; i++ {
 		at := 10*time.Millisecond + time.Duration(lr.rng.Int63n(int64(lr.opt.FlowWindow)))
@@ -965,6 +954,8 @@ func (lr *liveRun) scheduleLiveByzantine() {
 			}}
 			switch kind {
 			case 0:
+				// A per-update share quorum: threshold switches take only
+				// batch-signed updates and must reject every copy.
 				for j := 0; j < quorum; j++ {
 					msg := protocol.MsgUpdate{
 						UpdateID:   id,
@@ -989,10 +980,10 @@ func (lr *liveRun) scheduleLiveByzantine() {
 				lr.rec.count("byz-packet-out", 1)
 				lr.rec.trace("byz-packet-out", fmt.Sprintf("->%s dst=%s", sw, dst))
 			default:
-				// A fabricated batch-share quorum under a forged root (only
-				// drawn when the batched hot path is on): the inclusion
-				// proof must reject every copy; with the canary planted
-				// they apply and the forged-batch-proof check must fire.
+				// A fabricated batch-share quorum under a forged root: the
+				// inclusion proof must reject every copy; with the canary
+				// planted they apply and the forged-batch-proof check must
+				// fire.
 				for j := 0; j < quorum; j++ {
 					msg := protocol.MsgBatchUpdate{
 						UpdateID:   id,

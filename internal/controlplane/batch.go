@@ -1,21 +1,27 @@
-// Batch-amortized ordering and signing (the carrier-scale hot path).
+// Batch-signed updates: the one signing path of switch-aggregated Cicero.
 //
-// With Config.BatchSize > 1 the atomic broadcast delivers whole batches of
-// events per agreement slot (internal/bft), and the threshold-crypto cost
-// collapses from one signing ceremony per update to one per batch: the
-// controller plans every event of a delivered batch, hashes the resulting
-// updates' canonical bytes into a Merkle tree, signs only
-// BatchBytes(phase, root), and dispatches each update with its inclusion
-// proof (protocol.MsgBatchUpdate). Switches verify proofs with pure
-// hashing and pay the pairing check once per batch root.
+// Every delivered broadcast slot is a batch of events — with
+// Config.BatchSize <= 1 a batch of one. The controller plans every event
+// of the batch, hashes the resulting updates' canonical bytes into a
+// Merkle tree, signs only BatchBytes(phase, root), and dispatches each
+// update with its inclusion proof (protocol.MsgBatchUpdate). Switches
+// verify proofs with pure hashing and pay the pairing check once per
+// batch root, so larger batches amortize the threshold crypto further.
 //
-// The no-forged-rule guarantee is unchanged: the root binds every leaf's
-// exact content and position, a quorum of t = ⌊(n−1)/3⌋+1 root shares still
-// vouches for at least one honest controller, and a switch only acts on an
-// update whose proof verifies against a quorum-signed root. The audit
-// ledger keeps recording per-update canonical bytes, so batched and
-// unbatched runs produce identical ledger content — the digest cross-check
-// the scale benchmark enforces.
+// Retransmissions (switch resync, redispatch of unacked updates) and
+// dispatches that outlive their batch's membership phase go out as
+// singleton batches: a one-leaf tree whose root is H(0x00‖leaf). Every
+// controller that sends the same update alone computes the same root, so
+// singleton retransmissions pool at the switch no matter which batch
+// each controller first delivered the update in.
+//
+// The no-forged-rule guarantee: the root binds every leaf's exact content
+// and position, a quorum of t = ⌊(n−1)/3⌋+1 root shares vouches for at
+// least one honest controller, and a switch only acts on an update whose
+// proof verifies against a quorum-signed root and whose release t
+// distinct members attested. The audit ledger records per-update
+// canonical bytes, so runs at every batch size produce identical ledger
+// content — the digest cross-check the scale benchmark enforces.
 //
 // Dispatch remains dependency-driven with no batch-completion barrier:
 // plans enter the scheduler engine individually and each update leaves the
@@ -31,10 +37,9 @@ import (
 	"cicero/internal/tcrypto/merkle"
 )
 
-// batchRef is the batch-amortized signing context of one planned update:
-// everything dispatch (and recovery retransmission) needs to send it as a
-// MsgBatchUpdate. The share is computed once per batch and referenced by
-// every update in it.
+// batchRef is the signing context of one planned update: everything
+// dispatch needs to send it as a MsgBatchUpdate. The share is computed
+// once per batch and referenced by every update in it.
 type batchRef struct {
 	phase uint64
 	root  []byte
@@ -44,19 +49,20 @@ type batchRef struct {
 	share []byte
 }
 
-// batchingEnabled reports whether batch-amortized signing is active.
-// Ordering-level batching only needs BatchSize; the Merkle/signature
-// amortization additionally requires the full protocol with switch-side
-// aggregation (the aggregator baseline keeps its own combining path).
+// batchingEnabled reports whether updates travel batch-signed: the full
+// protocol whenever switches aggregate (no aggregator is designated, the
+// same test aggregatorID makes). The baselines send unsigned MsgUpdates,
+// and the aggregator baseline combines per-update shares.
 func (c *Controller) batchingEnabled() bool {
-	return c.cfg.BatchSize > 1 && c.cfg.Protocol == ProtoCicero && c.cfg.Aggregation == AggSwitch
+	return c.cfg.Protocol == ProtoCicero && c.cfg.Aggregation != AggController
 }
 
-// onDeliverBatch consumes one totally-ordered batch of broadcast items.
-// Event bookkeeping (dedup, ledger append) is identical to onDeliver;
-// planning and signing are deferred to deliverEventBatch so consecutive
-// events share one Merkle tree. Membership changes flush the events
-// accumulated so far first, preserving the delivered order's semantics.
+// onDeliverBatch consumes one totally-ordered batch of broadcast items
+// (Fig. 7b; unbatched ordering delivers batches of one). Events are
+// deduplicated and appended to the ledger here; planning and signing are
+// deferred to deliverEventBatch so the batch's events share one Merkle
+// tree. Membership changes flush the events accumulated so far first,
+// preserving the delivered order's semantics.
 func (c *Controller) onDeliverBatch(payloads [][]byte) {
 	if c.stopped {
 		return
@@ -87,6 +93,8 @@ func (c *Controller) onDeliverBatch(payloads [][]byte) {
 		if c.deliveredEvents[key] {
 			continue
 		}
+		// Events arriving during a membership change are queued and re-
+		// broadcast in the new phase (§4.3); they are NOT marked delivered.
 		if c.change != nil {
 			c.change.queued = append(c.change.queued, ev)
 			continue
@@ -113,8 +121,12 @@ func (c *Controller) deliverEventBatch(evs []protocol.Event) {
 		c.signUpdateBatch(plans)
 	}
 	for _, plan := range plans {
-		// See processEvent: a rejected plan is malformed scheduler output
-		// and dropping it is the only safe move.
+		// Event replay is impossible here (deliveredEvents dedups upstream),
+		// and the engine tolerates acks that raced ahead of this plan — a
+		// switch can apply an update via the other controllers' quorum
+		// before this controller delivers the event. A failure therefore
+		// indicates a malformed plan from the scheduler; dropping it is the
+		// only safe move.
 		if err := c.engine.Add(plan); err != nil {
 			continue
 		}
@@ -137,14 +149,8 @@ func (c *Controller) signUpdateBatch(plans []scheduler.Plan) {
 	}
 	tree := merkle.NewTree(leaves)
 	root := tree.Root()
-	// One signing ceremony for the whole batch — the amortization this
-	// entire layer exists for.
-	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.BLSSignShare)
-	var shareBytes []byte
-	if c.cfg.CryptoReal && c.cfg.Share.Scalar != nil {
-		share := c.cfg.Scheme.SignShare(c.cfg.Share, protocol.BatchBytes(c.phase, root[:]))
-		shareBytes = c.cfg.Scheme.Params.PointBytes(share.Point)
-	}
+	// One signing ceremony for the whole batch.
+	share := c.signRoot(c.phase, root[:])
 	idx := 0
 	for _, plan := range plans {
 		for _, su := range plan {
@@ -154,7 +160,7 @@ func (c *Controller) signUpdateBatch(plans []scheduler.Plan) {
 				index: idx,
 				count: len(leaves),
 				proof: tree.Proof(idx),
-				share: shareBytes,
+				share: share,
 			}
 			idx++
 		}
@@ -162,25 +168,37 @@ func (c *Controller) signUpdateBatch(plans []scheduler.Plan) {
 	c.BatchesSigned++
 }
 
-// sendUpdateAuto routes one update through the batch-amortized path when a
-// batch context exists for it (same phase), falling back to the legacy
-// per-update share path otherwise — recovery replays and cross-phase
-// retransmissions always have the legacy path to land on, and switches
-// accept both concurrently.
-func (c *Controller) sendUpdateAuto(id openflow.MsgID, phase uint64, mods []openflow.FlowMod, resend bool) {
-	if ref, ok := c.batchOf[id.String()]; ok && ref.phase == phase {
-		c.sendBatchUpdate(id, mods, ref, resend)
-		return
+// signRoot charges one share-signing and returns this controller's
+// threshold share over BatchBytes(phase, root) (nil without real crypto
+// or without a share).
+func (c *Controller) signRoot(phase uint64, root []byte) []byte {
+	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.BLSSignShare)
+	if !c.cfg.CryptoReal || c.cfg.Share.Scalar == nil {
+		return nil
 	}
-	c.sendUpdate(id, phase, mods, resend)
+	share := c.cfg.Scheme.SignShare(c.cfg.Share, protocol.BatchBytes(phase, root))
+	return c.cfg.Scheme.Params.PointBytes(share.Point)
+}
+
+// sendSingleton signs and sends one update as a one-leaf batch. Its root
+// is the leaf hash of the update's canonical bytes, the same at every
+// controller, so singletons from different controllers pool at the
+// switch however each of them first batched the update.
+func (c *Controller) sendSingleton(id openflow.MsgID, phase uint64, mods []openflow.FlowMod, resend bool) {
+	if len(mods) == 0 || c.cfg.Share.Scalar == nil {
+		return // a retired member holds no share to contribute
+	}
+	root := merkle.LeafHash(openflow.CanonicalUpdateBytes(id, phase, mods))
+	ref := &batchRef{phase: phase, root: root[:], count: 1, share: c.signRoot(phase, root[:])}
+	c.sendBatchUpdate(id, mods, ref, resend)
 }
 
 // sendBatchUpdate sends one update with its batch root, inclusion proof,
 // the (per-batch) root signature share, and a per-update Ed25519 release
-// attestation. The BLS share was computed once in signUpdateBatch; only
-// the cheap release signature is per-dispatch — it is what lets the
-// switch count this controller toward the update's release quorum by
-// authenticated identity rather than by a self-declared share index.
+// attestation. The BLS share was computed once per batch; only the cheap
+// release signature is per-dispatch — it is what lets the switch count
+// this controller toward the update's release quorum by authenticated
+// identity rather than by a self-declared share index.
 func (c *Controller) sendBatchUpdate(id openflow.MsgID, mods []openflow.FlowMod, ref *batchRef, resend bool) {
 	if len(mods) == 0 || c.cfg.Share.Scalar == nil {
 		return // a retired member holds no share to contribute

@@ -130,10 +130,10 @@ type Config struct {
 	// FailureDetector, when non-nil, runs heartbeats.
 	FailureDetector *FailureDetectorConfig
 
-	// BatchSize > 1 enables batched atomic-broadcast ordering and (with
-	// ProtoCicero + AggSwitch) batch-amortized signing: one threshold
-	// signature per batch Merkle root, inclusion proofs per update. <= 1
-	// keeps the original per-update path bit-identically.
+	// BatchSize > 1 enables batched atomic-broadcast ordering: up to
+	// BatchSize events per agreement slot. Signing follows the delivered
+	// batches (ProtoCicero + AggSwitch signs one Merkle root per batch), so
+	// <= 1 orders, and signs, one event per slot.
 	BatchSize int
 	// BatchDelay bounds how long a partial batch waits before it is
 	// ordered anyway (zero: the bft default).
@@ -190,9 +190,9 @@ type Controller struct {
 	// aggSent stores the combined aggregate per update while this
 	// controller is the aggregator, for recovery retransmission.
 	aggSent map[string]protocol.MsgAggUpdate
-	// batchOf maps an update id to its batch-amortized signing context
-	// (Merkle proof + per-batch root share); retained after dispatch so
-	// recovery retransmissions reuse the same proof and share.
+	// batchOf maps an update id to its batch signing context (Merkle
+	// proof + per-batch root share) until the update is acked or its
+	// phase ends; retransmissions send singleton batches instead.
 	batchOf map[string]*batchRef
 	// recovery tracks an in-flight crash recovery; recovered stays true
 	// afterwards so retransmitted updates carry the Resend flag (switches
@@ -415,13 +415,13 @@ func (c *Controller) rebuildReplica() error {
 		Timer: func(d time.Duration, fn func()) {
 			c.cfg.Net.After(fabric.NodeID(c.cfg.ID), d, fn)
 		},
-		Deliver:           func(seq uint64, payload []byte) { c.onDeliver(payload) },
+		// Unbatched ordering delivers single payloads; they are batches
+		// of one to the controller.
+		Deliver:           func(seq uint64, payload []byte) { c.onDeliverBatch([][]byte{payload}) },
+		DeliverBatch:      func(seq uint64, payloads [][]byte) { c.onDeliverBatch(payloads) },
 		ViewChangeTimeout: c.cfg.ViewChangeTimeout,
 		BatchSize:         c.cfg.BatchSize,
 		BatchDelay:        c.cfg.BatchDelay,
-	}
-	if c.cfg.BatchSize > 1 {
-		bftCfg.DeliverBatch = func(seq uint64, payloads [][]byte) { c.onDeliverBatch(payloads) }
 	}
 	replica, err := bft.NewReplica(bftCfg)
 	if err != nil {
@@ -588,7 +588,7 @@ func (c *Controller) submitItem(item protocol.BroadcastItem) {
 	payload := item.Encode()
 	if c.cfg.Protocol == ProtoCentralized {
 		c.centralSeq++
-		c.onDeliver(payload)
+		c.onDeliverBatch([][]byte{payload})
 		return
 	}
 	if c.replica == nil {
@@ -604,60 +604,9 @@ func (c *Controller) submitItem(item protocol.BroadcastItem) {
 	c.replica.Submit(payload)
 }
 
-// onDeliver consumes a totally-ordered broadcast item (Fig. 7b).
-func (c *Controller) onDeliver(payload []byte) {
-	if c.stopped {
-		return
-	}
-	delete(c.pendingSubmit, string(payload))
-	item, err := protocol.DecodeBroadcastItem(payload)
-	if err != nil {
-		return
-	}
-	if item.Membership != nil {
-		c.onMembershipDelivered(*item.Membership)
-		return
-	}
-	if item.Event == nil {
-		return
-	}
-	ev := *item.Event
-	key := ev.ID.String()
-	if c.deliveredEvents[key] {
-		return
-	}
-	// Events arriving during a membership change are queued and re-
-	// broadcast in the new phase (§4.3); they are NOT marked delivered.
-	if c.change != nil {
-		c.change.queued = append(c.change.queued, ev)
-		return
-	}
-	c.deliveredEvents[key] = true
-	c.EventsDelivered++
-	c.ledger.Append(audit.KindEvent, key, ev.Encode())
-	c.processEvent(ev)
-}
-
-// processEvent computes, schedules, signs and dispatches this domain's
-// updates for an event.
-func (c *Controller) processEvent(ev protocol.Event) {
-	plan, ok := c.planEvent(ev)
-	if !ok {
-		return
-	}
-	// Event replay is impossible here (deliveredEvents dedups upstream),
-	// and the engine tolerates acks that raced ahead of this plan — a
-	// switch can apply an update via the other controllers' quorum before
-	// this controller delivers the event. A failure therefore indicates a
-	// malformed plan from the scheduler; dropping it is the only safe move.
-	if err := c.engine.Add(plan); err != nil {
-		return
-	}
-}
-
 // planEvent computes and schedules this domain's updates for an event,
-// returning the plan without releasing it into the engine (the batched
-// delivery path signs a whole batch of plans before any of them runs).
+// returning the plan without releasing it into the engine (delivery signs
+// a whole batch of plans before any of them runs).
 func (c *Controller) planEvent(ev protocol.Event) (scheduler.Plan, bool) {
 	// Metadata publications ride policy-change events but never reach
 	// the routing app: they fan out into the signed-metadata plane.
@@ -711,12 +660,33 @@ func (c *Controller) dispatchUpdate(su scheduler.ScheduledUpdate) {
 	// After a recovery, every dispatch is a potential retransmission of an
 	// update the switch decided before the crash; Resend makes the switch
 	// re-acknowledge so the rebuilt engine can release dependents.
-	c.sendUpdateAuto(su.ID, c.phase, mods, c.recovered)
+	if !c.batchingEnabled() {
+		c.sendUpdate(su.ID, c.phase, mods, c.recovered)
+		return
+	}
+	if ref, ok := c.batchOf[su.ID.String()]; ok && ref.phase == c.phase {
+		c.sendBatchUpdate(su.ID, mods, ref, c.recovered)
+		return
+	}
+	// The update's batch was signed in an earlier membership phase (or its
+	// ref is gone): sign it anew, alone, in the current one.
+	c.sendSingleton(su.ID, c.phase, mods, c.recovered)
 }
 
-// sendUpdate share-signs one update and routes it to its switch (or to
-// the aggregator). It is the transmission half of dispatchUpdate, reused
-// by the recovery layer to retransmit logged updates with fresh shares.
+// retransmit resends one logged update with a fresh signature share and
+// the Resend flag: a singleton batch on the batch-signed path, so every
+// controller's retransmission of it pools under one root.
+func (c *Controller) retransmit(rec dispatchRecord) {
+	if c.batchingEnabled() {
+		c.sendSingleton(rec.id, rec.phase, rec.mods, true)
+		return
+	}
+	c.sendUpdate(rec.id, rec.phase, rec.mods, true)
+}
+
+// sendUpdate sends one update as a per-update MsgUpdate: unsigned for the
+// baselines, share-signed to the aggregator under controller aggregation.
+// Switch-aggregated Cicero never uses it (see batch.go).
 func (c *Controller) sendUpdate(id openflow.MsgID, phase uint64, mods []openflow.FlowMod, resend bool) {
 	msg := protocol.MsgUpdate{
 		UpdateID: id,
@@ -834,8 +804,8 @@ func (c *Controller) handleAckMsg(m protocol.MsgAck) {
 	}
 	c.AcksReceived++
 	// The batch signing context exists only for the initial dispatch;
-	// every retransmission path resends through legacy per-update shares,
-	// so an acked update's ref is dead weight on a long-running controller.
+	// every retransmission path resends a singleton batch, so an acked
+	// update's ref is dead weight on a long-running controller.
 	delete(c.batchOf, ack.UpdateID.String())
 	c.engine.Ack(ack.UpdateID)
 }

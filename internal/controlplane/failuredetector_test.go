@@ -29,7 +29,7 @@ func (s *fdSwitch) HandleMessage(from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
 	case protocol.MsgConfig:
 		s.configs = append(s.configs, m)
-	case protocol.MsgUpdate:
+	case protocol.MsgBatchUpdate:
 		ack := protocol.Ack{UpdateID: m.UpdateID, Switch: s.id, Applied: true}
 		env := s.keys.Seal(ack.Encode())
 		for _, ctl := range s.members {

@@ -318,9 +318,9 @@ func (c *Controller) completeChange(newShare bls.KeyShare, newGK *bls.GroupKey) 
 	c.cfg.Share = newShare
 	c.cfg.GroupKey = newGK
 	c.Reshares++
-	// Old-phase batch refs can never be dispatched again (sendUpdateAuto
-	// requires a same-phase ref and falls back to legacy per-update shares
-	// across phases), so drop them with the phase.
+	// Old-phase batch refs can never be dispatched again (dispatch needs a
+	// same-phase ref and sends a fresh singleton batch across phases), so
+	// drop them with the phase.
 	c.batchOf = make(map[string]*batchRef)
 	if err := c.rebuildReplica(); err != nil {
 		c.replica = nil

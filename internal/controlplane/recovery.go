@@ -17,9 +17,9 @@
 //     from an honest peer, so the adopted history is an honest history: a
 //     Byzantine peer can neither fabricate events nor skip suffixes.
 //  4. The adopted events replay through the normal delivery path
-//     (dedup → ledger append → plan → schedule → dispatch), rebuilding
-//     the engine and the ledger exactly as live delivery would have, and
-//     the replica fast-forwards with SyncTo.
+//     (dedup → ledger append → plan → sign → schedule → dispatch), each
+//     as a batch of one, rebuilding the engine and the ledger exactly as
+//     live delivery would have, and the replica fast-forwards with SyncTo.
 //
 // Requiring exact agreement rather than prefix containment trades a
 // little liveness for simplicity and safety: while the group is actively
@@ -47,10 +47,10 @@
 //
 // Switches recover symmetrically but more simply: a restarted switch
 // multicasts MsgResyncRequest and every controller retransmits the
-// updates it logged for that switch, with fresh signature shares and the
-// Resend flag. The flow table rebuilds through the ordinary
-// quorum-authentication path, so resynchronization is exactly as hard to
-// forge as a first-time update.
+// updates it logged for that switch as singleton batches, with fresh
+// signature shares and the Resend flag. The flow table rebuilds through
+// the ordinary quorum-authentication path, so resynchronization is
+// exactly as hard to forge as a first-time update.
 package controlplane
 
 import (
@@ -245,7 +245,9 @@ func (c *Controller) adoptRecovery(state protocol.MsgRecoverState) {
 		c.deliveredEvents[key] = true
 		c.EventsDelivered++
 		c.ledger.Append(audit.KindEvent, key, raw)
-		c.processEvent(ev)
+		// One event per batch, as unbatched delivery signed it: at batch
+		// size 1 the replayed roots match the ones peers signed live.
+		c.deliverEventBatch([]protocol.Event{ev})
 	}
 	if c.replica != nil {
 		c.replica.SyncTo(state.View, state.LastDelivered, nil)
@@ -271,7 +273,9 @@ func (c *Controller) adoptRecovery(state protocol.MsgRecoverState) {
 // handleResyncRequest retransmits every logged update targeting the
 // requesting switch, with fresh signature shares and the Resend flag. A
 // spoofed request costs at most one retransmission burst and cannot
-// install anything a real update could not.
+// install anything a real update could not. Retransmissions are singleton
+// batches, so they pool with every other controller's retransmission of
+// the same update whatever batch each first signed it in.
 func (c *Controller) handleResyncRequest(m protocol.MsgResyncRequest) {
 	if m.Switch == "" {
 		return
@@ -281,12 +285,7 @@ func (c *Controller) handleResyncRequest(m protocol.MsgResyncRequest) {
 		if len(rec.mods) == 0 || rec.mods[0].Switch != m.Switch {
 			continue
 		}
-		// Always the legacy per-update path: resync shares must combine
-		// with whatever the other controllers send after their own crashes
-		// or ref expiry, and only per-update shares are universally
-		// poolable. Batching is a fast-path optimization, not a recovery
-		// dependency.
-		c.sendUpdate(rec.id, rec.phase, rec.mods, true)
+		c.retransmit(rec)
 	}
 }
 
@@ -357,9 +356,9 @@ func (c *Controller) onGapStallTimer(horizon uint64) {
 }
 
 // RedispatchUnacked retransmits every released-but-unacknowledged update
-// (fresh shares, Resend flag) and returns how many were sent. The chaos
-// drain phase calls it to recover in-flight updates whose dispatch or ack
-// died in a fault window.
+// (singleton batches with fresh shares, Resend flag) and returns how many
+// were sent. The chaos drain phase calls it to recover in-flight updates
+// whose dispatch or ack died in a fault window.
 func (c *Controller) RedispatchUnacked() int {
 	if c.stopped || c.engine == nil {
 		return 0
@@ -378,10 +377,7 @@ func (c *Controller) RedispatchUnacked() int {
 		if !ok {
 			continue
 		}
-		// Legacy path on purpose (see handleResyncRequest): a retransmission
-		// quorum must assemble across controllers that may no longer share a
-		// batch ref for this update.
-		c.sendUpdate(rec.id, rec.phase, rec.mods, true)
+		c.retransmit(rec)
 		sent++
 	}
 	return sent

@@ -118,10 +118,17 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 	if signedBatches == 0 {
 		t.Fatal("batch=8 run signed no batches (batched path never engaged)")
 	}
+	// A batch of one is a batch: the batch=1 run signs batch roots too,
+	// at most one per delivered event (events that plan nothing for this
+	// domain sign nothing).
 	for _, d := range ref.Domains {
 		for _, ctl := range d.Controllers {
-			if ctl.BatchesSigned != 0 {
-				t.Fatalf("batch=1 run signed %d batches; must stay on the legacy path", ctl.BatchesSigned)
+			if ctl.BatchesSigned == 0 {
+				t.Fatalf("batch=1 controller %s signed no batches", ctl.ID())
+			}
+			if ctl.BatchesSigned > ctl.EventsDelivered {
+				t.Fatalf("batch=1 controller %s signed %d batches for %d delivered events",
+					ctl.ID(), ctl.BatchesSigned, ctl.EventsDelivered)
 			}
 		}
 	}

@@ -95,9 +95,10 @@ type Config struct {
 	// Merkle-proof invariant attaches here).
 	SwitchBatchHook func(sw string, m protocol.MsgBatchUpdate, valid bool)
 
-	// BatchSize > 1 batches the atomic broadcast and amortizes one
-	// threshold signature over each batch's Merkle root (ProtoCicero with
-	// switch aggregation). <= 1 keeps the per-update path bit-identically.
+	// BatchSize > 1 batches the atomic broadcast, so one threshold
+	// signature over each batch's Merkle root covers more updates
+	// (ProtoCicero with switch aggregation). <= 1 orders, and signs, one
+	// event per slot.
 	BatchSize int
 	// BatchDelay bounds how long a partial batch waits before ordering.
 	BatchDelay time.Duration

@@ -26,7 +26,9 @@ type Domain struct {
 	Controllers []*controlplane.Controller
 	GroupKey    *bls.GroupKey
 	Shares      []bls.KeyShare
-	Switches    []string
+	// Keys are the members' identity key pairs, in Members order.
+	Keys     []*pki.KeyPair
+	Switches []string
 	// Aggregator is the designated aggregator identity ("" in
 	// switch-aggregation mode).
 	Aggregator pki.Identity
@@ -172,6 +174,7 @@ func Build(cfg Config) (*Network, error) {
 			n.site[string(id)] = d.Site
 			ctlKeys[i] = keys
 		}
+		d.Keys = ctlKeys
 		if cfg.Metadata && cfg.Protocol == controlplane.ProtoCicero {
 			root := metarepo.GenesisRoot(quorum, ctlKeys, int64(n.Fab.Now()), metaTTLNS(cfg))
 			env, err := metarepo.SignRootDirect(n.Scheme, d.GroupKey, d.Shares, root)

@@ -9,6 +9,7 @@ import (
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/simnet"
+	"cicero/internal/tcrypto/merkle"
 	"cicero/internal/tcrypto/pki"
 	"cicero/internal/topology"
 	"cicero/internal/workload"
@@ -49,14 +50,42 @@ type evilNode struct{}
 
 func (evilNode) HandleMessage(simnet.NodeID, simnet.Message) {}
 
+// singletonUpdate builds a one-leaf batch update for mod, sent as domain
+// member `member`: release-attested with that member's identity key and
+// carrying share bytes under the claimed share index.
+func singletonUpdate(n *Network, id openflow.MsgID, mod openflow.FlowMod, member int, idx uint32, share []byte) protocol.MsgBatchUpdate {
+	dom := n.Domains[0]
+	mods := []openflow.FlowMod{mod}
+	root := merkle.LeafHash(openflow.CanonicalUpdateBytes(id, 0, mods))
+	return protocol.MsgBatchUpdate{
+		UpdateID:   id,
+		Mods:       mods,
+		Phase:      0,
+		From:       dom.Members[member],
+		BatchRoot:  root[:],
+		LeafIndex:  0,
+		LeafCount:  1,
+		ShareIndex: idx,
+		Share:      share,
+		ReleaseSig: dom.Keys[member].Sign(protocol.BatchReleaseBytes(id, 0, root[:])),
+	}
+}
+
+// rootShare signs the singleton root of (id, mod) with a member's genuine
+// threshold key share.
+func rootShare(n *Network, id openflow.MsgID, mod openflow.FlowMod, member int) []byte {
+	root := merkle.LeafHash(openflow.CanonicalUpdateBytes(id, 0, []openflow.FlowMod{mod}))
+	share := n.Scheme.SignShare(n.Domains[0].Shares[member], protocol.BatchBytes(0, root[:]))
+	return n.Scheme.Params.PointBytes(share.Point)
+}
+
 func TestForgedUpdateRejectedWithoutQuorum(t *testing.T) {
 	n := buildSecure(t, controlplane.AggSwitch)
 	evil := simnet.NodeID("evil-controller")
 	n.Net.Register(evil, evilNode{})
 
 	// The attacker crafts an update installing a malicious route and
-	// sends it with a garbage share, then with one replayed-looking share
-	// index — never reaching the quorum of 3.
+	// sends it as a singleton batch with garbage root shares.
 	target := topology.ToRName(0, 0, 0)
 	mod := openflow.FlowMod{Op: openflow.FlowAdd, Switch: target, Rule: openflow.Rule{
 		Priority: 99,
@@ -67,15 +96,16 @@ func TestForgedUpdateRejectedWithoutQuorum(t *testing.T) {
 	sw := n.Switches[target]
 	params := n.Scheme.Params
 	junk := params.PointBytes(params.ScalarBaseMul(bigOne()))
-	for idx := uint32(1); idx <= 2; idx++ {
-		n.Net.Send(evil, simnet.NodeID(target), protocol.MsgUpdate{
-			UpdateID:   id,
-			Mods:       []openflow.FlowMod{mod},
-			Phase:      0,
-			From:       "evil",
-			ShareIndex: idx,
-			Share:      junk,
-		}, 256)
+	quorum := n.Domains[0].Controllers[0].Quorum()
+
+	// An outsider cannot attest a release at all.
+	outsider := singletonUpdate(n, id, mod, 0, 1, junk)
+	outsider.From = "evil"
+	n.Net.Send(evil, simnet.NodeID(target), outsider, 256)
+	// A stolen identity key (but no threshold share) gets junk into the
+	// root-share pool, one claimed index at a time, short of the quorum.
+	for idx := uint32(1); idx < uint32(quorum); idx++ {
+		n.Net.Send(evil, simnet.NodeID(target), singletonUpdate(n, id, mod, 3, idx, junk), 256)
 	}
 	if _, err := n.Sim.Run(); err != nil {
 		t.Fatal(err)
@@ -84,31 +114,25 @@ func TestForgedUpdateRejectedWithoutQuorum(t *testing.T) {
 		t.Fatal("switch installed a sub-quorum update")
 	}
 
-	// With a third junk share the quorum count is reached, but aggregate
+	// One more junk share reaches the quorum count, but aggregate
 	// verification must fail.
-	n.Net.Send(evil, simnet.NodeID(target), protocol.MsgUpdate{
-		UpdateID: id, Mods: []openflow.FlowMod{mod}, Phase: 0,
-		From: "evil", ShareIndex: 3, Share: junk,
-	}, 256)
+	n.Net.Send(evil, simnet.NodeID(target), singletonUpdate(n, id, mod, 3, uint32(quorum), junk), 256)
 	if _, err := n.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := sw.Lookup("x", "attacker-sink"); ok {
 		t.Fatal("switch installed an update with forged shares")
 	}
-	if sw.UpdatesRejected == 0 {
-		t.Fatal("forged update was not counted as rejected")
+	if sw.UpdatesRejected < 2 {
+		t.Fatalf("forged updates not counted as rejected (rejected=%d)", sw.UpdatesRejected)
 	}
 }
 
 // TestCompromisedControllerCannotForgeAlone gives the attacker a REAL key
-// share (an insider) — still below the quorum, so its signed-but-lonely
-// update must not be applied, while honest traffic continues.
+// share and identity key (an insider) — still below the quorum, so its
+// signed-but-lonely update must not be applied.
 func TestCompromisedControllerCannotForgeAlone(t *testing.T) {
 	n := buildSecure(t, controlplane.AggSwitch)
-	dom := n.Domains[0]
-	insiderShare := dom.Shares[3] // a genuine share
-
 	evil := simnet.NodeID("insider")
 	n.Net.Register(evil, evilNode{})
 
@@ -119,16 +143,12 @@ func TestCompromisedControllerCannotForgeAlone(t *testing.T) {
 		Action:   openflow.Action{Type: openflow.ActionOutput, NextHop: "exfil"},
 	}}
 	id := openflow.MsgID{Origin: "insider", Seq: 1}
-	canonical := openflow.CanonicalUpdateBytes(id, 0, []openflow.FlowMod{mod})
-	share := n.Scheme.SignShare(insiderShare, canonical)
-	raw := n.Scheme.Params.PointBytes(share.Point)
-	// The insider replays its single valid share under three different
-	// claimed indices; only its own index verifies, and one share < t.
+	raw := rootShare(n, id, mod, 3)
+	// The insider replays its single valid root share under three
+	// different claimed indices; only its own index verifies, one share
+	// is below t, and its release attestation counts once.
 	for idx := uint32(1); idx <= 3; idx++ {
-		n.Net.Send(evil, simnet.NodeID(target), protocol.MsgUpdate{
-			UpdateID: id, Mods: []openflow.FlowMod{mod}, Phase: 0,
-			From: "insider", ShareIndex: idx, Share: raw,
-		}, 256)
+		n.Net.Send(evil, simnet.NodeID(target), singletonUpdate(n, id, mod, 3, idx, raw), 256)
 	}
 	if _, err := n.Sim.Run(); err != nil {
 		t.Fatal(err)
@@ -253,8 +273,8 @@ func TestByzantineAggregatorCannotForge(t *testing.T) {
 }
 
 // TestHonestQuorumStillWorksDespiteByzantineShare mixes one corrupted
-// share into an otherwise honest switch-aggregation flow: CombineVerified
-// filters it and the update applies.
+// root share into an otherwise honest switch-aggregation quorum:
+// CombineVerified filters it and the update applies.
 func TestHonestQuorumStillWorksDespiteByzantineShare(t *testing.T) {
 	n := buildSecure(t, controlplane.AggSwitch)
 	dom := n.Domains[0]
@@ -267,24 +287,16 @@ func TestHonestQuorumStillWorksDespiteByzantineShare(t *testing.T) {
 		Action:   openflow.Action{Type: openflow.ActionOutput, NextHop: topology.EdgeName(0, 0, 0)},
 	}}
 	id := openflow.MsgID{Origin: "mixed", Seq: 1}
-	canonical := openflow.CanonicalUpdateBytes(id, 0, []openflow.FlowMod{mod})
 
 	evil := simnet.NodeID("byz-member")
 	n.Net.Register(evil, evilNode{})
-	// Byzantine share arrives first (index 1, corrupted).
+	// The Byzantine member's corrupted share arrives first.
 	junk := n.Scheme.Params.PointBytes(n.Scheme.Params.ScalarBaseMul(bigOne()))
-	n.Net.Send(evil, simnet.NodeID(target), protocol.MsgUpdate{
-		UpdateID: id, Mods: []openflow.FlowMod{mod}, Phase: 0,
-		From: "byz", ShareIndex: 1, Share: junk,
-	}, 256)
-	// Then three honest shares (indices 2..4).
+	n.Net.Send(evil, simnet.NodeID(target), singletonUpdate(n, id, mod, 0, dom.Shares[0].Index, junk), 256)
+	// Then the three honest members' shares.
 	for i := 1; i <= 3; i++ {
-		share := n.Scheme.SignShare(dom.Shares[i], canonical)
-		n.Net.Send(evil, simnet.NodeID(target), protocol.MsgUpdate{
-			UpdateID: id, Mods: []openflow.FlowMod{mod}, Phase: 0,
-			From: "honest", ShareIndex: dom.Shares[i].Index,
-			Share: n.Scheme.Params.PointBytes(share.Point),
-		}, 256)
+		msg := singletonUpdate(n, id, mod, i, dom.Shares[i].Index, rootShare(n, id, mod, i))
+		n.Net.Send(evil, simnet.NodeID(target), msg, 256)
 	}
 	if _, err := n.Sim.Run(); err != nil {
 		t.Fatal(err)

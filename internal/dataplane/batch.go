@@ -1,9 +1,12 @@
-// Batch-amortized update verification (the switch half of the
-// carrier-scale hot path, see internal/controlplane/batch.go).
+// Batch-signed update verification, the switch half of the one signing
+// path (see internal/controlplane/batch.go).
 //
 // A MsgBatchUpdate carries one update plus a Merkle inclusion proof
 // against a batch root, a per-batch signature share over the root, and a
-// per-update Ed25519 release attestation. The switch verifies the proof
+// per-update Ed25519 release attestation. A single update is a one-leaf
+// batch with an empty proof; retransmissions are such singletons, and
+// since a one-leaf root is the leaf hash, every controller's singleton of
+// the same update pools under one root. The switch verifies the proof
 // with pure hashing (cheap, always on), collects a quorum of root shares
 // ONCE per batch, and pays the pairing check a single time; every other
 // update of the batch rides the cached verdict. The root signature
@@ -15,9 +18,7 @@
 // triple, verified against the PKI directory — a self-declared share
 // index would let a single Byzantine controller, holding the delivered
 // batch and thus every member's valid proof, fabricate the whole quorum
-// and install a later batch member ahead of its dependency order. Legacy
-// per-update MsgUpdate traffic is still accepted concurrently — recovery
-// replays and cross-phase retransmissions use it.
+// and install a later batch member ahead of its dependency order.
 package dataplane
 
 import (
@@ -43,8 +44,7 @@ const maxPendingBatches = 512
 
 // batchWaiter buffers one proof-checked update until both gates open:
 // the batch root is quorum-verified AND quorum-many distinct controllers
-// have attested this very update's release (mirroring the legacy
-// per-update share quorum).
+// have attested this very update's release.
 type batchWaiter struct {
 	msg     protocol.MsgBatchUpdate
 	senders map[pki.Identity]bool
@@ -62,6 +62,17 @@ type pendingBatch struct {
 	// waiting is keyed by updateKey so retransmissions accumulate senders
 	// instead of duplicating entries.
 	waiting map[string]*batchWaiter
+}
+
+// remove deletes a decided waiter. A drained entry drops its map:
+// verified roots stay pooled for late members, and with one update per
+// switch per root (the common case at batch size 1) nearly every pooled
+// root is a drained one.
+func (pb *pendingBatch) remove(key string) {
+	delete(pb.waiting, key)
+	if len(pb.waiting) == 0 {
+		pb.waiting = nil
+	}
 }
 
 // batchKey identifies one batch root's quorum pool.
@@ -87,7 +98,7 @@ func (s *Switch) handleBatchUpdate(m protocol.MsgBatchUpdate) {
 		return
 	case ModeAggregated:
 		// Per-share batch traffic is not accepted in aggregated mode; the
-		// aggregator must combine shares first (same gate as handleUpdate).
+		// aggregator must combine shares first.
 		s.UpdatesRejected++
 		return
 	}
@@ -145,15 +156,17 @@ func (s *Switch) handleBatchUpdate(m protocol.MsgBatchUpdate) {
 		s.evictPendingBatch()
 		s.batchSeq++
 		pb = &pendingBatch{
-			phase:   m.Phase,
-			shares:  make(map[uint32][]byte),
-			seq:     s.batchSeq,
-			waiting: make(map[string]*batchWaiter),
+			phase:  m.Phase,
+			shares: make(map[uint32][]byte),
+			seq:    s.batchSeq,
 		}
 		s.pendingBatches[bk] = pb
 	}
 	w, ok := pb.waiting[key]
 	if !ok {
+		if pb.waiting == nil {
+			pb.waiting = make(map[string]*batchWaiter)
+		}
 		w = &batchWaiter{senders: make(map[pki.Identity]bool)}
 		pb.waiting[key] = w
 	}
@@ -164,15 +177,15 @@ func (s *Switch) handleBatchUpdate(m protocol.MsgBatchUpdate) {
 		// signature — zero additional pairings — but still waits for its
 		// own quorum of distinct release attestations.
 		if len(w.senders) >= s.cfg.Quorum {
-			delete(pb.waiting, key)
+			pb.remove(key)
 			s.batchDecide(w.msg, true)
 		}
 		return
 	}
-	// Overwrite on retransmission (same as the legacy per-update pool): a
-	// garbage share claiming this index must not permanently shadow the
-	// index owner's real share, or a poisoned pool could stall the whole
-	// batch until honest retransmissions land.
+	// Overwrite on retransmission: a garbage share claiming this index
+	// must not permanently shadow the index owner's real share, or a
+	// poisoned pool could stall the whole batch until honest
+	// retransmissions land.
 	pb.shares[m.ShareIndex] = m.Share
 	if len(pb.shares) < s.cfg.Quorum {
 		return
@@ -201,9 +214,9 @@ func (s *Switch) handleBatchUpdate(m protocol.MsgBatchUpdate) {
 		if len(wk.senders) < s.cfg.Quorum {
 			continue
 		}
-		delete(pb.waiting, k)
+		pb.remove(k)
 		if _, decided := s.applied[k]; decided {
-			continue // a legacy quorum may have raced ahead
+			continue // another root's quorum (a singleton) raced ahead
 		}
 		s.batchDecide(wk.msg, true)
 	}
@@ -256,9 +269,9 @@ func (s *Switch) evictPendingBatch() {
 }
 
 // dropStaleBatches discards pool entries from membership phases before
-// the given one; controllers re-sign fresh batches in the new phase and
-// retransmit cross-phase updates through the legacy per-update path, so
-// stale entries can never complete.
+// the given one; controllers sign fresh roots in the new phase and send
+// cross-phase updates as new singleton batches, so stale entries can
+// never complete.
 func (s *Switch) dropStaleBatches(phase uint64) {
 	for k, pb := range s.pendingBatches {
 		if pb.phase < phase {

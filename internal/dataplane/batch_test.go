@@ -82,6 +82,59 @@ func (bh *batchHarness) batchMsg(tb *testBatch, leaf, ctl int) protocol.MsgBatch
 	}
 }
 
+// singletonMsg builds the singleton batch controller ctl sends for one
+// update: a one-leaf root over the update's canonical bytes (the leaf
+// hash, the same at every controller), ctl's genuine root share, and its
+// release attestation.
+func (bh *batchHarness) singletonMsg(id openflow.MsgID, m openflow.FlowMod, phase uint64, ctl int) protocol.MsgBatchUpdate {
+	mods := []openflow.FlowMod{m}
+	root := merkle.LeafHash(openflow.CanonicalUpdateBytes(id, phase, mods))
+	share := bh.scheme.SignShare(bh.shares[ctl], protocol.BatchBytes(phase, root[:]))
+	from := controllerIDs[ctl]
+	return protocol.MsgBatchUpdate{
+		UpdateID:   id,
+		Mods:       mods,
+		Phase:      phase,
+		From:       from,
+		BatchRoot:  root[:],
+		LeafIndex:  0,
+		LeafCount:  1,
+		ShareIndex: bh.shares[ctl].Index,
+		Share:      bh.scheme.Params.PointBytes(share.Point),
+		ReleaseSig: bh.ctlKeys[from].Sign(protocol.BatchReleaseBytes(id, phase, root[:])),
+	}
+}
+
+// TestSingletonRetransmissionsPool is the retransmission path: one
+// controller first sent an update inside a two-leaf batch that never
+// completed, then two other controllers retransmit it alone. Their
+// independently built singleton roots are identical, so the shares pool
+// under one root and the update applies.
+func TestSingletonRetransmissionsPool(t *testing.T) {
+	bh := newBatchHarness(t, ModeThreshold, true)
+	tb := makeTestBatch()
+	bh.sw.HandleMessage("c1", bh.batchMsg(tb, 0, 0))
+
+	first := bh.singletonMsg(tb.ids[0], tb.mods[0], 0, 2)
+	second := bh.singletonMsg(tb.ids[0], tb.mods[0], 0, 3)
+	first.Resend, second.Resend = true, true
+	if string(first.BatchRoot) != string(second.BatchRoot) {
+		t.Fatal("two controllers built different singleton roots for one update")
+	}
+	bh.sw.HandleMessage("c3", first)
+	if bh.sw.UpdatesApplied != 0 {
+		t.Fatal("applied on a single retransmission")
+	}
+	bh.sw.HandleMessage("c4", second)
+	if bh.sw.UpdatesApplied != 1 {
+		t.Fatalf("pooled singleton retransmissions did not apply (applied=%d, rejected=%d)",
+			bh.sw.UpdatesApplied, bh.sw.UpdatesRejected)
+	}
+	if got := len(bh.sw.pendingBatches); got != 2 {
+		t.Fatalf("pool holds %d roots, want 2 (the batch and one shared singleton)", got)
+	}
+}
+
 // TestBatchReleaseQuorumCountsIdentities exercises the honest path: two
 // distinct controllers attest a member's release, the root verifies once,
 // and both members apply as their own quorums complete.
@@ -179,8 +232,8 @@ func TestBatchSharePoisoningHealedByRetransmission(t *testing.T) {
 	}
 }
 
-// TestBatchAggregatedModeRejected mirrors the legacy mode gate: per-share
-// batch traffic is not accepted in aggregated mode.
+// TestBatchAggregatedModeRejected checks the mode gate: per-share batch
+// traffic is not accepted in aggregated mode.
 func TestBatchAggregatedModeRejected(t *testing.T) {
 	bh := newBatchHarness(t, ModeAggregated, false)
 	tb := makeTestBatch()

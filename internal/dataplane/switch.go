@@ -9,7 +9,6 @@ package dataplane
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"cicero/internal/fabric"
 	"cicero/internal/metarepo"
@@ -27,8 +26,10 @@ const (
 	// ModeUnsigned applies the first copy of each update (the centralized
 	// and crash-tolerant baselines: no quorum authentication, §6.1).
 	ModeUnsigned Mode = iota + 1
-	// ModeThreshold collects a quorum of signature shares, aggregates,
-	// and verifies against the control plane's threshold public key.
+	// ModeThreshold accepts batch-signed updates (MsgBatchUpdate): it
+	// collects a quorum of batch-root signature shares, aggregates, and
+	// verifies against the control plane's threshold public key (see
+	// batch.go).
 	ModeThreshold
 	// ModeAggregated expects pre-aggregated signatures from a designated
 	// aggregator controller and only verifies them (§4.2).
@@ -94,13 +95,6 @@ type Config struct {
 // matchKey dedups pending events per flow endpoints.
 type matchKey struct{ src, dst string }
 
-// pendingUpdate buffers an update until its share quorum completes.
-type pendingUpdate struct {
-	mods   []openflow.FlowMod
-	phase  uint64
-	shares map[uint32][]byte
-}
-
 // waiter observes rule installation (the simulation driver uses it to
 // start flows whose rules were missing).
 type waiter struct {
@@ -116,7 +110,6 @@ type Switch struct {
 	eventSeq uint64
 	// pendingEvents dedups outstanding table-miss events per match.
 	pendingEvents map[matchKey]openflow.MsgID
-	pending       map[string]*pendingUpdate // keyed by updateID|phase
 	// pendingBatches collects root-share quorums for batch-amortized
 	// updates, keyed by batchRoot|phase (see batch.go). Bounded by
 	// maxPendingBatches; batchSeq orders entries for eviction.
@@ -172,7 +165,6 @@ func New(cfg Config) (*Switch, error) {
 		table:          openflow.NewFlowTable(),
 		eventSeq:       uint64(cfg.BootEpoch) << 32,
 		pendingEvents:  make(map[matchKey]openflow.MsgID),
-		pending:        make(map[string]*pendingUpdate),
 		pendingBatches: make(map[string]*pendingBatch),
 		applied:        make(map[string]bool),
 	}
@@ -311,72 +303,31 @@ func (s *Switch) HandleMessage(from fabric.NodeID, msg fabric.Message) {
 	}
 }
 
-// updateKey builds the pending-map key binding update id and phase.
+// updateKey builds the decision key binding update id and phase.
 func updateKey(id openflow.MsgID, phase uint64) string {
 	return fmt.Sprintf("%s|%d", id, phase)
 }
 
-// handleUpdate processes a per-controller signed update.
+// handleUpdate processes a per-update MsgUpdate. Only the unsigned
+// baselines accept one (first copy wins). A threshold switch takes
+// batch-signed updates and an aggregated one takes pre-aggregated
+// signatures, so either rejects and counts a MsgUpdate outright.
 func (s *Switch) handleUpdate(m protocol.MsgUpdate) {
+	if s.cfg.Mode != ModeUnsigned {
+		s.UpdatesRejected++
+		return
+	}
 	key := updateKey(m.UpdateID, m.Phase)
 	if verdict, decided := s.applied[key]; decided {
 		// Re-acknowledge recovery retransmissions (a controller that lost
-		// the ack in a crash is stuck without it); ordinary late quorum
-		// shares stay silent so they do not amplify into ack storms.
+		// the ack in a crash is stuck without it); ordinary duplicates stay
+		// silent so they do not amplify into ack storms.
 		if m.Resend {
 			s.sendAck(m.UpdateID, verdict)
 		}
 		return
 	}
-	switch s.cfg.Mode {
-	case ModeUnsigned:
-		// Baselines: first copy wins.
-		s.apply(m.UpdateID, m.Phase, m.Mods, true)
-	case ModeThreshold:
-		pu, ok := s.pending[key]
-		if !ok {
-			pu = &pendingUpdate{mods: m.Mods, phase: m.Phase, shares: make(map[uint32][]byte)}
-			s.pending[key] = pu
-		}
-		if m.ShareIndex == 0 {
-			return // malformed share
-		}
-		pu.shares[m.ShareIndex] = m.Share
-		if len(pu.shares) < s.cfg.Quorum {
-			return
-		}
-		// Quorum reached: aggregate and verify (Fig. 6b). A failed
-		// verification (Byzantine shares in the mix) keeps the update
-		// pending: later honest shares can still complete it.
-		s.cfg.Net.Charge(fabric.NodeID(s.cfg.ID),
-			time.Duration(s.cfg.Quorum)*s.cfg.Cost.BLSAggregatePerShare+s.cfg.Cost.BLSVerifyAggregate)
-		if s.cfg.CryptoReal && !s.verifyBypass && !s.verifyShares(m.UpdateID, pu) {
-			s.UpdatesRejected++
-			return
-		}
-		delete(s.pending, key)
-		s.apply(m.UpdateID, m.Phase, pu.mods, true)
-	case ModeAggregated:
-		// Per-share updates are not accepted in aggregated mode; the
-		// aggregator must combine them first.
-		s.UpdatesRejected++
-	}
-}
-
-// verifyShares combines the collected shares and verifies the aggregate
-// against the control plane's threshold public key.
-func (s *Switch) verifyShares(id openflow.MsgID, pu *pendingUpdate) bool {
-	canonical := openflow.CanonicalUpdateBytes(id, pu.phase, pu.mods)
-	shares := make([]bls.SignatureShare, 0, len(pu.shares))
-	for idx, raw := range pu.shares {
-		pt, err := s.cfg.Scheme.Params.ParsePoint(raw)
-		if err != nil {
-			continue
-		}
-		shares = append(shares, bls.SignatureShare{Index: idx, Point: pt})
-	}
-	_, err := s.cfg.Scheme.CombineVerifiedCached(s.verifyCache, s.cfg.GroupKey, canonical, shares)
-	return err == nil
+	s.apply(m.UpdateID, m.Phase, m.Mods, true)
 }
 
 // handleAggUpdate verifies a pre-aggregated signature and applies.
@@ -428,8 +379,8 @@ func (s *Switch) handleConfig(m protocol.MsgConfig) {
 	s.configPhase = m.Phase
 	s.cfg.Controllers = append([]pki.Identity(nil), m.Members...)
 	// Batch quorum pools from earlier phases can never complete now —
-	// controllers re-sign fresh roots in the new phase and retransmit
-	// cross-phase updates through the legacy per-update path.
+	// controllers sign fresh roots in the new phase and send cross-phase
+	// updates as new singleton batches.
 	s.dropStaleBatches(m.Phase)
 	if m.Quorum > 0 {
 		s.cfg.Quorum = m.Quorum

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cicero/internal/fabric"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/simnet"
@@ -124,40 +125,40 @@ func TestUnsignedModeFirstCopyWins(t *testing.T) {
 }
 
 func TestThresholdQuorumCountingFastCrypto(t *testing.T) {
-	h := newHarness(t, ModeThreshold, false)
+	bh := newBatchHarness(t, ModeThreshold, false)
 	id := openflow.MsgID{Origin: "e", Seq: 1}
 	m := mod("h8")
-	h.sw.HandleMessage("c1", protocol.MsgUpdate{UpdateID: id, Mods: []openflow.FlowMod{m}, ShareIndex: 1})
-	if h.sw.UpdatesApplied != 0 {
+	bh.sw.HandleMessage("c1", bh.singletonMsg(id, m, 0, 0))
+	if bh.sw.UpdatesApplied != 0 {
 		t.Fatal("applied below quorum")
 	}
-	// Duplicate share index does not advance the quorum.
-	h.sw.HandleMessage("c1", protocol.MsgUpdate{UpdateID: id, Mods: []openflow.FlowMod{m}, ShareIndex: 1})
-	if h.sw.UpdatesApplied != 0 {
+	// A duplicate from the same controller does not advance the quorum.
+	bh.sw.HandleMessage("c1", bh.singletonMsg(id, m, 0, 0))
+	if bh.sw.UpdatesApplied != 0 {
 		t.Fatal("duplicate share advanced the quorum")
 	}
-	h.sw.HandleMessage("c2", protocol.MsgUpdate{UpdateID: id, Mods: []openflow.FlowMod{m}, ShareIndex: 2})
-	if h.sw.UpdatesApplied != 1 {
-		t.Fatalf("applied %d after quorum, want 1", h.sw.UpdatesApplied)
+	bh.sw.HandleMessage("c2", bh.singletonMsg(id, m, 0, 1))
+	if bh.sw.UpdatesApplied != 1 {
+		t.Fatalf("applied %d after quorum, want 1", bh.sw.UpdatesApplied)
 	}
 }
 
 func TestThresholdRealCryptoAppliesAndAcks(t *testing.T) {
-	h := newHarness(t, ModeThreshold, true)
+	bh := newBatchHarness(t, ModeThreshold, true)
 	id := openflow.MsgID{Origin: "e", Seq: 1}
 	m := mod("h9")
-	h.sw.HandleMessage("c1", h.shareMsg(t, 0, id, m))
-	h.sw.HandleMessage("c2", h.shareMsg(t, 1, id, m))
-	if _, err := h.sim.Run(); err != nil {
+	bh.sw.HandleMessage("c1", bh.singletonMsg(id, m, 0, 0))
+	bh.sw.HandleMessage("c2", bh.singletonMsg(id, m, 0, 1))
+	if _, err := bh.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if h.sw.UpdatesApplied != 1 {
-		t.Fatalf("applied %d, want 1", h.sw.UpdatesApplied)
+	if bh.sw.UpdatesApplied != 1 {
+		t.Fatalf("applied %d, want 1", bh.sw.UpdatesApplied)
 	}
 	// Every controller received a signed ack.
 	for _, id := range controllerIDs {
 		found := false
-		for _, msg := range h.received[id] {
+		for _, msg := range bh.received[id] {
 			if _, ok := msg.(protocol.MsgAck); ok {
 				found = true
 			}
@@ -169,14 +170,33 @@ func TestThresholdRealCryptoAppliesAndAcks(t *testing.T) {
 }
 
 func TestThresholdZeroShareIndexIgnored(t *testing.T) {
-	h := newHarness(t, ModeThreshold, false)
+	bh := newBatchHarness(t, ModeThreshold, false)
 	id := openflow.MsgID{Origin: "e", Seq: 1}
 	m := mod("hz")
-	for i := 0; i < 4; i++ {
-		h.sw.HandleMessage("c1", protocol.MsgUpdate{UpdateID: id, Mods: []openflow.FlowMod{m}, ShareIndex: 0})
+	for ctl := range controllerIDs {
+		msg := bh.singletonMsg(id, m, 0, ctl)
+		msg.ShareIndex = 0
+		bh.sw.HandleMessage(fabric.NodeID(controllerIDs[ctl]), msg)
 	}
-	if h.sw.UpdatesApplied != 0 {
+	if bh.sw.UpdatesApplied != 0 {
 		t.Fatal("malformed shares reached quorum")
+	}
+}
+
+// TestThresholdRejectsPerUpdateShares feeds a threshold switch a full
+// quorum of genuine per-update MsgUpdate shares. Threshold switches take
+// only batch-signed updates, so every copy is rejected and counted.
+func TestThresholdRejectsPerUpdateShares(t *testing.T) {
+	h := newHarness(t, ModeThreshold, true)
+	id := openflow.MsgID{Origin: "e", Seq: 1}
+	m := mod("hu")
+	h.sw.HandleMessage("c1", h.shareMsg(t, 0, id, m))
+	h.sw.HandleMessage("c2", h.shareMsg(t, 1, id, m))
+	if h.sw.UpdatesApplied != 0 {
+		t.Fatal("threshold switch applied a per-update share quorum")
+	}
+	if h.sw.UpdatesRejected != 2 {
+		t.Fatalf("rejected %d per-update shares, want 2", h.sw.UpdatesRejected)
 	}
 }
 
@@ -301,43 +321,43 @@ func TestEventsToAggregatorOnly(t *testing.T) {
 }
 
 func TestConfigUpdatesMembershipAndQuorum(t *testing.T) {
-	h := newHarness(t, ModeThreshold, false)
-	h.sw.HandleMessage("c1", protocol.MsgConfig{
+	bh := newBatchHarness(t, ModeThreshold, false)
+	bh.sw.HandleMessage("c1", protocol.MsgConfig{
 		Phase:   1,
 		Quorum:  3,
 		Members: []pki.Identity{"c1", "c2", "c3", "c4", "c5"},
 	})
-	// Quorum is now 3: two shares must not apply.
+	// Quorum is now 3: two controllers must not apply.
 	id := openflow.MsgID{Origin: "e", Seq: 1}
 	m := mod("hf")
-	h.sw.HandleMessage("c1", protocol.MsgUpdate{UpdateID: id, Phase: 1, Mods: []openflow.FlowMod{m}, ShareIndex: 1})
-	h.sw.HandleMessage("c2", protocol.MsgUpdate{UpdateID: id, Phase: 1, Mods: []openflow.FlowMod{m}, ShareIndex: 2})
-	if h.sw.UpdatesApplied != 0 {
+	bh.sw.HandleMessage("c1", bh.singletonMsg(id, m, 1, 0))
+	bh.sw.HandleMessage("c2", bh.singletonMsg(id, m, 1, 1))
+	if bh.sw.UpdatesApplied != 0 {
 		t.Fatal("applied below the new quorum")
 	}
-	h.sw.HandleMessage("c3", protocol.MsgUpdate{UpdateID: id, Phase: 1, Mods: []openflow.FlowMod{m}, ShareIndex: 3})
-	if h.sw.UpdatesApplied != 1 {
+	bh.sw.HandleMessage("c3", bh.singletonMsg(id, m, 1, 2))
+	if bh.sw.UpdatesApplied != 1 {
 		t.Fatal("not applied at the new quorum")
 	}
 	// Stale configs are ignored.
-	h.sw.HandleMessage("c1", protocol.MsgConfig{Phase: 1, Quorum: 9})
+	bh.sw.HandleMessage("c1", protocol.MsgConfig{Phase: 1, Quorum: 9})
 	id2 := openflow.MsgID{Origin: "e", Seq: 2}
 	m2 := mod("hg")
-	for i := 1; i <= 3; i++ {
-		h.sw.HandleMessage("c1", protocol.MsgUpdate{UpdateID: id2, Phase: 1, Mods: []openflow.FlowMod{m2}, ShareIndex: uint32(i)})
+	for ctl := 0; ctl < 3; ctl++ {
+		bh.sw.HandleMessage(fabric.NodeID(controllerIDs[ctl]), bh.singletonMsg(id2, m2, 1, ctl))
 	}
-	if h.sw.UpdatesApplied != 2 {
+	if bh.sw.UpdatesApplied != 2 {
 		t.Fatal("stale config changed the quorum")
 	}
 }
 
 func TestPhaseSeparatesShareBuckets(t *testing.T) {
-	h := newHarness(t, ModeThreshold, false)
+	bh := newBatchHarness(t, ModeThreshold, false)
 	id := openflow.MsgID{Origin: "e", Seq: 1}
 	m := mod("hh")
-	h.sw.HandleMessage("c1", protocol.MsgUpdate{UpdateID: id, Phase: 0, Mods: []openflow.FlowMod{m}, ShareIndex: 1})
-	h.sw.HandleMessage("c2", protocol.MsgUpdate{UpdateID: id, Phase: 1, Mods: []openflow.FlowMod{m}, ShareIndex: 2})
-	if h.sw.UpdatesApplied != 0 {
+	bh.sw.HandleMessage("c1", bh.singletonMsg(id, m, 0, 0))
+	bh.sw.HandleMessage("c2", bh.singletonMsg(id, m, 1, 1))
+	if bh.sw.UpdatesApplied != 0 {
 		t.Fatal("shares from different phases combined")
 	}
 }

@@ -52,9 +52,9 @@ type LiveOptions struct {
 	Seed int64
 	// Timeout bounds each leg's completion wait (0: 60s).
 	Timeout time.Duration
-	// BatchSize > 1 enables batched ordering and batch-amortized signing
-	// (one threshold signature per batch Merkle root) on both the live
-	// legs and the simnet reference. <= 1 is the per-update baseline.
+	// BatchSize > 1 enables batched ordering, so each threshold-signed
+	// batch Merkle root covers more events, on both the live legs and the
+	// simnet reference. <= 1 orders one event per slot.
 	BatchSize int
 	// BatchDelay bounds how long a partial batch waits before ordering.
 	BatchDelay time.Duration

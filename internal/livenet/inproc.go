@@ -1,10 +1,6 @@
 package livenet
 
-import (
-	"time"
-
-	"cicero/internal/fabric"
-)
+import "cicero/internal/fabric"
 
 // InProc is the in-process live backend: messages hop between mailbox
 // goroutines directly, with no real wire. It is the fastest way to run
@@ -68,7 +64,7 @@ func (p *InProc) SendErr(from, to fabric.NodeID, msg fabric.Message, size int) e
 		if delay > 0 {
 			// An injected delay re-checks crash state at delivery time,
 			// like simnet: the destination may have crashed meanwhile.
-			time.AfterFunc(delay, func() {
+			p.timers.after(delay, func() {
 				if p.Crashed(to) {
 					p.st.droppedCrash.Add(1)
 					return

@@ -169,6 +169,51 @@ func (s *stats) resilience() ResilienceStats {
 	}
 }
 
+// timerSet tracks a fabric's pending wall-clock callbacks (After timers
+// and injected-delay deliveries). The runtime timers reference only the
+// set, never the fabric, and close stops them and drops every callback,
+// so a closed fabric becomes garbage at once instead of staying
+// reachable until its last timer fires.
+type timerSet struct {
+	mu      sync.Mutex
+	pending map[*time.Timer]func() // nil once closed
+}
+
+func newTimerSet() *timerSet {
+	return &timerSet{pending: make(map[*time.Timer]func())}
+}
+
+// after runs fn on its own goroutine after delay, unless the set is
+// closed first.
+func (s *timerSet) after(delay time.Duration, fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pending == nil {
+		return
+	}
+	var t *time.Timer
+	t = time.AfterFunc(delay, func() {
+		s.mu.Lock()
+		cb := s.pending[t]
+		delete(s.pending, t)
+		s.mu.Unlock()
+		if cb != nil {
+			cb()
+		}
+	})
+	s.pending[t] = fn
+}
+
+// close stops every pending timer and drops its callback.
+func (s *timerSet) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for t := range s.pending {
+		t.Stop()
+	}
+	s.pending = nil
+}
+
 // base is the node runtime shared by both live backends: registration,
 // mailboxes, wall-clock timers, crash/partition state, and stats.
 type base struct {
@@ -185,6 +230,8 @@ type base struct {
 	fmu    sync.RWMutex
 	filter fabric.Filter
 
+	timers *timerSet
+
 	wg sync.WaitGroup
 	st stats
 }
@@ -195,6 +242,7 @@ func newBase() base {
 		nodes:   make(map[fabric.NodeID]*node),
 		crashed: make(map[fabric.NodeID]bool),
 		parts:   make(map[[2]fabric.NodeID]bool),
+		timers:  newTimerSet(),
 	}
 }
 
@@ -230,7 +278,7 @@ func (b *base) lookup(id fabric.NodeID) (*node, bool) {
 // After schedules fn on the node's mailbox after a wall-clock delay; the
 // timer is suppressed if the node is crashed when it fires.
 func (b *base) After(id fabric.NodeID, delay time.Duration, fn func()) {
-	time.AfterFunc(delay, func() {
+	b.timers.after(delay, func() {
 		if b.Crashed(id) {
 			return
 		}
@@ -443,7 +491,8 @@ func (b *base) inject(from, to fabric.NodeID, msg fabric.Message, size int) (fab
 	return msg, copies, act.Delay, nil
 }
 
-// closeNodes shuts every mailbox and waits for the goroutines to exit.
+// closeNodes stops the pending timers, shuts every mailbox and waits for
+// the goroutines to exit.
 func (b *base) closeNodes() {
 	b.mu.Lock()
 	if b.closed {
@@ -451,6 +500,7 @@ func (b *base) closeNodes() {
 		return
 	}
 	b.closed = true
+	b.timers.close()
 	nodes := make([]*node, 0, len(b.nodes))
 	for _, n := range b.nodes {
 		nodes = append(nodes, n)

@@ -287,7 +287,7 @@ func (t *TCP) SendErr(from, to fabric.NodeID, msg fabric.Message, size int) erro
 	var firstErr error
 	for i := 0; i < copies; i++ {
 		if delay > 0 {
-			time.AfterFunc(delay, func() { _ = l.send(frame) })
+			t.timers.after(delay, func() { _ = l.send(frame) })
 			continue
 		}
 		if err := l.send(frame); err != nil && firstErr == nil {

@@ -92,8 +92,9 @@ type MsgEvent struct {
 	Env pki.Envelope
 }
 
-// MsgUpdate is one controller's (threshold-share-)signed network update
-// sent to a switch or to the aggregator.
+// MsgUpdate is one controller's network update: unsigned to a baseline
+// switch, or threshold-share-signed to the aggregator under controller
+// aggregation. Switch-aggregated Cicero sends MsgBatchUpdate instead.
 type MsgUpdate struct {
 	UpdateID openflow.MsgID
 	Mods     []openflow.FlowMod
